@@ -3,7 +3,7 @@
 //! collapses the whole tree), early-satisfied queries (closed-form subtree
 //! counts), genuinely hard instances (where the per-node evaluation cost is
 //! everything), skewed instances (where the scheduler is everything), and
-//! the tiny instances behind the solver's engine-vs-closed-form cutoff.
+//! tiny instances, where closed forms and search sit close together.
 //!
 //! Three baselines appear:
 //!
@@ -13,8 +13,8 @@
 //!   ([`BacktrackingEngine::without_incremental`]); the `incremental_*` and
 //!   `skewed_*` rows measure the PR 3 evaluator/scheduler against it;
 //! * `closed_form` — the Theorem 3.9 / 4.6 polynomial algorithms; the
-//!   `tiny_*` rows justify `ENGINE_TINY_INSTANCE_VALUATIONS` in
-//!   `incdb_core::solver`.
+//!   `tiny_*` rows measure them against search on instances of 16–256
+//!   valuations. The solver routes to the closed forms at every size.
 //!
 //! The `stream_*` rows measure the `incdb-stream` bounded-memory modes
 //! against the *unbounded* in-memory baselines — and must win (≥1×
@@ -470,8 +470,9 @@ fn write_json_report(fast: bool) {
         ));
     }
 
-    // Tiny-instance rows: the exponential-setup closed forms against the
-    // engine, justifying `ENGINE_TINY_INSTANCE_VALUATIONS` in the solver.
+    // Tiny-instance rows: the exponential-setup inclusion–exclusion DP
+    // against the engine. A measurement only: the solver takes the closed
+    // form at every size, since neither side wins clearly here.
     let q_ie: Bcq = "R(x), S(x)".parse().unwrap();
     for (name, per_relation) in [("tiny_ie_16", 2u32), ("tiny_ie_64", 3), ("tiny_ie_256", 4)] {
         let db = uniform_two_unary_relations(per_relation, 2);

@@ -54,18 +54,18 @@
 //! `incdb-approx` reuse the bind/check oracle ([`holds_under_current`]) in
 //! their hot loops.
 
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Condvar, Mutex};
 use std::thread;
 
 use incdb_bignum::{BigNat, NatAccumulator};
-use incdb_data::{CompletionKey, Constant, DataError, Database, Grounding, IncompleteDatabase};
+use incdb_data::{Constant, DataError, Database, Grounding, IncompleteDatabase};
 use incdb_query::{BooleanQuery, PartialOutcome, DEFAULT_MERGE_JOIN_MIN_ROWS};
 
-use crate::session::CollectKeys;
 pub use crate::session::{
     ClassAction, CompletionVisitor, Mark, PageSummary, SearchSession, StealGate,
 };
+use crate::session::{CollectKeys, CountValuations};
 
 /// A strategy for exactly counting valuations and completions.
 ///
@@ -546,8 +546,8 @@ impl BacktrackingEngine {
     /// This is a one-shot convenience: the session it builds is dropped
     /// when the walk ends. Callers that walk the same instance repeatedly
     /// should hold a [`session`](BacktrackingEngine::session) and call
-    /// [`SearchSession::visit_completions`] on it, paying a reset per walk
-    /// instead of a rebuild.
+    /// [`SearchSession::walk`] on it, paying a reset per walk instead of a
+    /// rebuild.
     ///
     /// Returns `Ok(true)` if the walk covered the whole tree, `Ok(false)`
     /// if the visitor stopped it early, and an error if some null of the
@@ -563,26 +563,24 @@ impl BacktrackingEngine {
         V: CompletionVisitor + ?Sized,
     {
         let mut session = self.session(db, q)?;
-        Ok(session.visit_completions(visitor))
+        Ok(session.walk(visitor))
     }
 
-    /// Runs one subtree walk per task of the work-stealing queue across up
-    /// to [`threads`](BacktrackingEngine::threads) scoped workers, each on
-    /// its own [`fork`](SearchSession::fork) of the primary session with
-    /// its own result accumulator of type `A`, and returns the per-worker
-    /// accumulators for the caller to merge. Forking clones the grounding
-    /// and the compiled residual state — the expensive query compilation
-    /// happens exactly once, on the primary.
-    fn run_stealing<'q, Q, A, W>(
+    /// Runs one task walk per task of the work-stealing queue across up to
+    /// [`threads`](BacktrackingEngine::threads) scoped workers, each on its
+    /// own [`fork`](SearchSession::fork) of the primary session with its
+    /// own sink of type `S`, and returns the per-worker sinks for the
+    /// caller to merge. Forking clones the grounding and the compiled
+    /// residual state — the expensive query compilation happens exactly
+    /// once, on the primary.
+    fn run_stealing<'q, Q, S>(
         &self,
         primary: &SearchSession<'q, Q>,
         prefixes: Vec<Vec<Constant>>,
-        work: W,
-    ) -> Vec<A>
+    ) -> Vec<S>
     where
         Q: BooleanQuery + Sync + ?Sized,
-        A: Default + Send,
-        W: Fn(&mut SearchSession<'q, Q>, &[Constant], &StealGate<'_>, &mut A) + Sync,
+        S: CompletionVisitor + Default + Send,
     {
         let queue = TaskQueue::new(prefixes);
         let forks: Vec<SearchSession<'q, Q>> = (0..self.threads).map(|_| primary.fork()).collect();
@@ -590,19 +588,19 @@ impl BacktrackingEngine {
             let handles: Vec<_> = forks
                 .into_iter()
                 .map(|mut session| {
-                    let (queue, work) = (&queue, &work);
+                    let queue = &queue;
                     let min_split_valuations = self.min_split_valuations;
                     scope.spawn(move || {
                         let gate = StealGate {
                             queue,
                             min_split_valuations,
                         };
-                        let mut acc = A::default();
+                        let mut sink = S::default();
                         while let Some(prefix) = queue.next_task() {
-                            work(&mut session, &prefix, &gate, &mut acc);
+                            session.walk_task(&prefix, Some(&gate), &mut sink);
                             queue.finish_task();
                         }
-                        acc
+                        sink
                     })
                 })
                 .collect();
@@ -624,11 +622,8 @@ impl CountingEngine for BacktrackingEngine {
         let Some(prefixes) = self.shard_plan(session.grounding(), session.order()) else {
             return Ok(session.count());
         };
-        let totals: Vec<NatAccumulator> =
-            self.run_stealing(&session, prefixes, |session, prefix, gate, acc| {
-                session.count_subtree(prefix, Some(gate), acc)
-            });
-        Ok(totals.into_iter().map(NatAccumulator::into_total).sum())
+        let totals: Vec<CountValuations> = self.run_stealing(&session, prefixes);
+        Ok(totals.into_iter().map(CountValuations::into_total).sum())
     }
 
     fn count_completions<Q: BooleanQuery + Sync + ?Sized>(
@@ -638,22 +633,18 @@ impl CountingEngine for BacktrackingEngine {
     ) -> Result<BigNat, DataError> {
         let mut session = self.session(db, q)?;
         let Some(prefixes) = self.shard_plan(session.grounding(), session.order()) else {
-            let mut keys = HashSet::new();
-            session.visit_completions(&mut CollectKeys { keys: &mut keys });
-            return Ok(BigNat::from(keys.len()));
+            let mut sink = CollectKeys::default();
+            session.walk(&mut sink);
+            return Ok(BigNat::from(sink.keys.len()));
         };
-        let shard_keys: Vec<HashSet<CompletionKey>> =
-            self.run_stealing(&session, prefixes, |session, prefix, gate, keys| {
-                session.visit_subtree(prefix, Some(gate), &mut CollectKeys { keys });
-            });
         // Distinct completions can be produced by several workers (different
         // prefix assignments may induce the same completion), so dedup again
         // while merging.
-        let mut merged: HashSet<CompletionKey> = HashSet::new();
-        for keys in shard_keys {
-            merged.extend(keys);
+        let mut merged = CollectKeys::default();
+        for sink in self.run_stealing::<Q, CollectKeys>(&session, prefixes) {
+            merged.keys.extend(sink.keys);
         }
-        Ok(BigNat::from(merged.len()))
+        Ok(BigNat::from(merged.keys.len()))
     }
 }
 
@@ -661,8 +652,9 @@ impl CountingEngine for BacktrackingEngine {
 mod tests {
     use super::*;
     use crate::session::completion_key;
-    use incdb_data::{NullId, Value};
+    use incdb_data::{CompletionKey, NullId, Value};
     use incdb_query::{Bcq, NegatedBcq, Ucq};
+    use std::collections::HashSet;
 
     fn c(id: u64) -> Value {
         Value::constant(id)

@@ -14,13 +14,19 @@
 //! * the per-walk scratch (path buffer, scratch [`Database`], dirty-null
 //!   batch buffer), reused allocation-free from walk to walk.
 //!
-//! Walks are **methods on the session**: [`count`](SearchSession::count),
-//! [`visit_completions`](SearchSession::visit_completions) and the bounded
-//! [`select_page`](SearchSession::select_page), plus `*_subtree` variants
-//! that resume at a task prefix for work-stealing schedulers. A finished or
-//! aborted walk returns the session to its root state through the cheap
-//! rewind protocol ([`Grounding::reset`] + [`ResidualState::rewind`]) — a
-//! reset, not a rebuild — so consecutive walks amortise the entire setup.
+//! The session runs **one walk**, a depth-first search over valuations that
+//! hands what it finds to a sink ([`CompletionVisitor`]). The sink decides
+//! what the walk computes: [`CountValuations`] credits decided subtrees in
+//! closed form (#Val), [`CollectKeys`] fingerprints every satisfying leaf
+//! (#Comp), class-aware sinks count whole completion classes at the
+//! separation cut, and [`PageSink`] selects one bounded page of the
+//! canonical completion order. The walk starts at the root
+//! ([`walk`](SearchSession::walk), or [`count`](SearchSession::count) for
+//! #Val) or at a task prefix for work-stealing schedulers
+//! ([`walk_task`](SearchSession::walk_task)). A root walk first returns the
+//! session to its root state through the cheap rewind protocol
+//! ([`Grounding::reset`] + [`ResidualState::rewind`]) — a reset, not a
+//! rebuild — so consecutive walks amortise the entire setup.
 //! [`fork`](SearchSession::fork) clones a session for another worker by
 //! cloning the compiled state ([`ResidualState::boxed_clone`]) and sharing
 //! the plan, again skipping recompilation.
@@ -65,25 +71,40 @@ pub enum ClassAction {
     Stop,
 }
 
-/// A consumer of satisfying completion leaves — the engine's streaming
-/// alternative to materialising a completion set.
+/// A sink of the session's one search walk: the hooks through which
+/// valuation counting, leaf visiting, class counting and page selection
+/// consume the same depth-first search over valuations.
 ///
-/// [`SearchSession::visit_completions`] (and the engine wrapper
-/// `BacktrackingEngine::visit_completions`) calls [`leaf`] once per
-/// *satisfying valuation leaf*, with the grounding fully bound; pruning
-/// (`Refuted` subtrees) happens before the visitor ever sees a leaf. Note
-/// that distinct completions are **not** deduplicated at this layer —
-/// several valuations may induce the same completion, and the visitor sees
-/// each of them. Deduplicate by fingerprint
-/// ([`Grounding::completion_fingerprint_into`]) when counting, as the
-/// sharded counters and the paging stream of `incdb-stream` do.
+/// [`SearchSession::walk`] and [`SearchSession::walk_task`] drive the sink.
+/// Every hook but [`leaf`] has a no-op default, and the walk is compiled
+/// per sink type, so a hook a sink leaves alone costs nothing per node.
+/// `Refuted` subtrees are pruned before any hook sees a leaf. Distinct
+/// completions are **not** deduplicated at this layer — several valuations
+/// may induce the same completion, and [`leaf`] sees each of them.
+/// Deduplicate by fingerprint ([`Grounding::completion_fingerprint_into`])
+/// when counting, as [`CollectKeys`] and the sharded counters of
+/// `incdb-stream` do.
+///
+/// The `enter`, `leave`, `refuted`, `finished`, `generates` and `generated`
+/// hooks exist for [`PageSink`]: they track the summary node the walk is
+/// in, prune and record it, and take decided separable subtrees in closed
+/// form.
 ///
 /// [`leaf`]: CompletionVisitor::leaf
 pub trait CompletionVisitor {
-    /// Consumes one satisfying leaf. Return `false` to stop the walk early
-    /// (e.g. a shard whose memory budget is exhausted, or a page that is
-    /// full and cannot accept a key that would displace nothing).
+    /// Consumes one satisfying leaf, with the grounding fully bound. Return
+    /// `false` to stop the walk early (e.g. a shard whose memory budget is
+    /// exhausted).
     fn leaf(&mut self, g: &Grounding) -> bool;
+
+    /// Called at every node the query is decided `Satisfied` at (there or
+    /// at an ancestor), with the number of valuations below it. Return
+    /// `true` to account for the whole subtree here, and the walk skips
+    /// it. The default returns `false`: the walk descends without further
+    /// query checks.
+    fn satisfied(&mut self, _valuations: &BigNat) -> bool {
+        false
+    }
 
     /// Called once per node at the plan's **separation cut** — the depth at
     /// which every remaining unbound null is separable
@@ -109,6 +130,37 @@ pub trait CompletionVisitor {
     fn class_counted(&mut self, _distinct: &BigNat) -> bool {
         true
     }
+
+    /// Called before the walk descends into value `k` of the depth-`depth`
+    /// null's domain (and, in a task walk, for each prefix level). Return
+    /// `false` to skip that child. Every `true` is matched by a
+    /// [`leave`](CompletionVisitor::leave) once the child is done.
+    fn enter(&mut self, _depth: usize, _k: usize) -> bool {
+        true
+    }
+
+    /// Called when the walk returns from a child entered at `depth`.
+    fn leave(&mut self, _depth: usize) {}
+
+    /// Called when the query is `Refuted` at the current node, at `depth`:
+    /// nothing below it satisfies.
+    fn refuted(&mut self, _depth: usize) {}
+
+    /// Called when the walk has finished the current node, at `depth`.
+    /// `whole` reports whether this walk alone covered the node's subtree:
+    /// true for leaves and for walks that donate nothing.
+    fn finished(&mut self, _depth: usize, _whole: bool) {}
+
+    /// Whether the sink takes a decided subtree at `depth`, below the
+    /// separation cut, as closed-form keys through
+    /// [`generated`](CompletionVisitor::generated) instead of a leaf walk.
+    fn generates(&self, _depth: usize) -> bool {
+        false
+    }
+
+    /// Receives one completion key of a decided separable subtree the sink
+    /// chose to take in closed form.
+    fn generated(&mut self, _key: &CompletionKey) {}
 }
 
 /// Extracts the canonical fingerprint
@@ -119,13 +171,44 @@ pub(crate) fn completion_key(g: &Grounding) -> CompletionKey {
     g.completion_fingerprint().expect("leaf is fully bound")
 }
 
-/// The visitor behind the engine's own distinct-completion counting:
-/// collects canonical fingerprints into a hash set, never stopping early.
-pub(crate) struct CollectKeys<'s> {
-    pub(crate) keys: &'s mut HashSet<CompletionKey>,
+/// The #Val sink: credits every `Satisfied` subtree with its closed-form
+/// valuation count and counts the undecided leaves that model-check true.
+/// [`SearchSession::count`] runs it from the root; task walks over a
+/// partition of the tree add up to the same total.
+#[derive(Debug, Default)]
+pub struct CountValuations {
+    acc: NatAccumulator,
 }
 
-impl CompletionVisitor for CollectKeys<'_> {
+impl CountValuations {
+    /// The number of satisfying valuations the walks have credited.
+    pub fn into_total(self) -> BigNat {
+        self.acc.into_total()
+    }
+}
+
+impl CompletionVisitor for CountValuations {
+    fn leaf(&mut self, _g: &Grounding) -> bool {
+        self.acc.add_one();
+        true
+    }
+
+    fn satisfied(&mut self, valuations: &BigNat) -> bool {
+        self.acc.add_big(valuations);
+        true
+    }
+}
+
+/// The #Comp leaf sink: collects the canonical fingerprint of every
+/// satisfying leaf into a hash set, never stopping early. The set's size
+/// is the number of distinct satisfying completions seen.
+#[derive(Debug, Default)]
+pub struct CollectKeys {
+    /// The distinct completion keys seen so far.
+    pub keys: HashSet<CompletionKey>,
+}
+
+impl CompletionVisitor for CollectKeys {
     fn leaf(&mut self, g: &Grounding) -> bool {
         self.keys.insert(completion_key(g));
         true
@@ -351,35 +434,6 @@ impl PageSummary {
         }
     }
 
-    /// Drops every mark a table delta could have falsified, resetting it
-    /// to [`Mark::Unvisited`] — always sound: the next walk simply
-    /// re-derives the node. `Empty` marks are dropped too, since an
-    /// inserted fact can populate a previously empty subtree.
-    ///
-    /// `lo`/`hi` bound (inclusively) the completion keys whose membership
-    /// or position the delta may have changed; `None` is unbounded on that
-    /// side. **A table delta splices the written tuple into every
-    /// completion of the instance** — every recorded key moves — so after
-    /// [`SearchSession::advance_to`] a pager passes `(None, None)`. The
-    /// bounded form serves callers that can prove a delta only perturbs a
-    /// key range; marks entirely outside it survive.
-    pub fn invalidate_span(&mut self, lo: Option<&CompletionKey>, hi: Option<&CompletionKey>) {
-        for level in &mut self.levels {
-            for mark in level.iter_mut() {
-                let stale = match &*mark {
-                    Mark::Unvisited => false,
-                    Mark::Empty => true,
-                    Mark::Span(min, max) => {
-                        lo.is_none_or(|l| l <= max) && hi.is_none_or(|h| min <= h)
-                    }
-                };
-                if stale {
-                    *mark = Mark::Unvisited;
-                }
-            }
-        }
-    }
-
     /// The number of completion keys held by `Span` marks across all
     /// levels — the summary's contribution to a pager's resident-memory
     /// accounting.
@@ -393,13 +447,32 @@ impl PageSummary {
     }
 }
 
-/// The live state of one bounded selection walk: the page heap plus the
-/// optional summary recorder.
-struct PageCtx<'c> {
+/// The page-selection sink: collects into a [`PageHeap`] the `cap`
+/// smallest distinct completion keys strictly greater than `after`
+/// (displacing the running maximum once the page fills) — the paging
+/// primitive behind `incdb-stream`'s `CompletionStream`. Resident memory is
+/// `O(cap)` keys regardless of how many completions exist.
+///
+/// The heap is not cleared first: pre-existing entries participate in the
+/// bound, so several walks (e.g. the per-worker task walks of a parallel
+/// page fill) can accumulate into one heap.
+///
+/// With [`recording`](PageSink::recording) the sink runs the
+/// cursor-pruning summary protocol: previous walks' marks prune subtrees
+/// provably below `after`, provably beyond a full page, or provably empty,
+/// and this walk's observations land in a bottom worksheet
+/// ([`PageSummary::worksheet`]), to be folded back via
+/// [`PageSummary::absorb`] afterwards. A recording sink also emits decided
+/// separable subtrees in closed form. The page is **exactly** the page an
+/// unrecorded walk produces; only the work differs.
+pub struct PageSink<'c> {
     after: Option<&'c CompletionKey>,
     cap: usize,
     page: &'c mut PageHeap,
     scratch: CompletionKey,
+    /// The summary node the walk is in: its index among the nodes of level
+    /// `min(depth, summary depth)`.
+    node: usize,
     rec: Option<PageRecorder<'c>>,
 }
 
@@ -408,24 +481,32 @@ struct PageCtx<'c> {
 struct PageRecorder<'c> {
     summary: &'c PageSummary,
     bottom: &'c mut [Mark],
-    /// Whether a completed, observation-free subtree may be marked
-    /// [`Mark::Empty`]: only sound when this walk alone covers the node
-    /// (sequential, non-donating); `Refuted` nodes are provably empty in
-    /// any mode.
-    can_mark_empty: bool,
 }
 
-impl PageCtx<'_> {
-    fn summary_depth(&self) -> usize {
-        self.rec.as_ref().map_or(usize::MAX, |r| r.summary.depth())
+impl<'c> PageSink<'c> {
+    /// A sink selecting the `cap` (at least 1) smallest keys beyond `after`
+    /// into `page`.
+    pub fn new(after: Option<&'c CompletionKey>, cap: usize, page: &'c mut PageHeap) -> Self {
+        PageSink {
+            after,
+            cap: cap.max(1),
+            page,
+            scratch: CompletionKey::new(),
+            node: 0,
+            rec: None,
+        }
+    }
+
+    /// Attaches the summary protocol: `summary` prunes, `bottom` (a
+    /// [`PageSummary::worksheet`]) records.
+    pub fn recording(mut self, summary: &'c PageSummary, bottom: &'c mut [Mark]) -> Self {
+        self.rec = Some(PageRecorder { summary, bottom });
+        self
     }
 
     /// Can the level-`level` node `node` be skipped outright for the page
     /// currently being built?
-    fn prunable(&self, level: usize, node: usize) -> bool {
-        let Some(rec) = &self.rec else {
-            return false;
-        };
+    fn prunable(&self, rec: &PageRecorder<'_>, level: usize, node: usize) -> bool {
         match rec.summary.mark(level, node) {
             Mark::Unvisited => false,
             Mark::Empty => true,
@@ -439,47 +520,82 @@ impl PageCtx<'_> {
             }
         }
     }
+}
 
-    /// Records a satisfying-leaf observation for bottom node `node`.
-    fn observe(&mut self, node: usize) {
-        if let Some(rec) = &mut self.rec {
-            rec.bottom[node].observe(&self.scratch);
+impl CompletionVisitor for PageSink<'_> {
+    fn leaf(&mut self, g: &Grounding) -> bool {
+        let mut key = std::mem::take(&mut self.scratch);
+        g.completion_fingerprint_into(&mut key)
+            .expect("every null is bound at a leaf");
+        self.generated(&key);
+        self.scratch = key;
+        true
+    }
+
+    fn enter(&mut self, depth: usize, k: usize) -> bool {
+        let Some(rec) = &self.rec else {
+            return true;
+        };
+        if depth >= rec.summary.depth {
+            return true;
         }
+        let child = self.node * rec.summary.widths[depth] + k;
+        if self.prunable(rec, depth + 1, child) {
+            return false;
+        }
+        self.node = child;
+        true
     }
 
-    /// The satisfying-leaf admission path, shared by walked and generated
-    /// leaves: `scratch` holds the candidate key. Records the observation
-    /// first — marks must describe the node's true key span, independent of
-    /// the page served — then offers the key to the page heap.
-    fn admit(&mut self, node: usize) {
-        self.observe(node);
-        self.page.admit(&self.scratch, self.after, self.cap);
-    }
-
-    /// Marks bottom node `node` empty if nothing was observed (walk
-    /// completed the node without finding a satisfying leaf).
-    fn finish_bottom(&mut self, node: usize, refuted: bool) {
-        if let Some(rec) = &mut self.rec {
-            if (refuted || rec.can_mark_empty) && matches!(rec.bottom[node], Mark::Unvisited) {
-                rec.bottom[node] = Mark::Empty;
+    fn leave(&mut self, depth: usize) {
+        if let Some(rec) = &self.rec {
+            if depth < rec.summary.depth {
+                self.node /= rec.summary.widths[depth];
             }
         }
     }
 
-    /// A `Refuted` residual at `level ≤ depth` proves every bottom
-    /// descendant of `node` empty, in any walk mode.
-    fn refute_subtree(&mut self, level: usize, node: usize) {
+    /// A `Refuted` residual at `depth ≤` the summary depth proves every
+    /// bottom descendant of the node empty, in any walk mode.
+    fn refuted(&mut self, depth: usize) {
         if let Some(rec) = &mut self.rec {
-            let mut stride = 1usize;
-            for w in &rec.summary.widths[level..] {
-                stride *= w;
-            }
-            for slot in &mut rec.bottom[node * stride..(node + 1) * stride] {
-                if matches!(slot, Mark::Unvisited) {
-                    *slot = Mark::Empty;
+            if depth <= rec.summary.depth {
+                let stride: usize = rec.summary.widths[depth..].iter().product();
+                for slot in &mut rec.bottom[self.node * stride..(self.node + 1) * stride] {
+                    if matches!(slot, Mark::Unvisited) {
+                        *slot = Mark::Empty;
+                    }
                 }
             }
         }
+    }
+
+    /// Marks a bottom node empty if the walk finished all of it without
+    /// observing a satisfying leaf. A walk that may have donated part of
+    /// the node saw only part of it, and marks nothing.
+    fn finished(&mut self, depth: usize, whole: bool) {
+        if let Some(rec) = &mut self.rec {
+            if whole
+                && depth == rec.summary.depth
+                && matches!(rec.bottom[self.node], Mark::Unvisited)
+            {
+                rec.bottom[self.node] = Mark::Empty;
+            }
+        }
+    }
+
+    fn generates(&self, depth: usize) -> bool {
+        self.rec.as_ref().is_some_and(|r| depth >= r.summary.depth)
+    }
+
+    /// The admission path shared by walked and generated keys. Records the
+    /// observation first — marks must describe the node's true key span,
+    /// independent of the page served — then offers the key to the page.
+    fn generated(&mut self, key: &CompletionKey) {
+        if let Some(rec) = &mut self.rec {
+            rec.bottom[self.node].observe(key);
+        }
+        self.page.admit(key, self.after, self.cap);
     }
 }
 
@@ -566,7 +682,7 @@ pub struct StealGate<'a> {
 /// reused across any number of walks (see the [module docs](self)).
 ///
 /// ```
-/// use incdb_core::session::SearchSession;
+/// use incdb_core::session::{PageSink, SearchSession};
 /// use incdb_data::{IncompleteDatabase, Value};
 /// use incdb_query::Bcq;
 ///
@@ -579,7 +695,7 @@ pub struct StealGate<'a> {
 /// let mut session = SearchSession::new(&db, &q).unwrap();
 /// assert_eq!(session.count().to_u64(), Some(4));
 /// let mut page = incdb_data::PageHeap::new();
-/// session.select_page(None, 2, &mut page);
+/// session.walk(&mut PageSink::new(None, 2, &mut page));
 /// assert_eq!(page.len(), 2); // the 2 canonically smallest completions
 /// assert_eq!(session.count().to_u64(), Some(4)); // still at full strength
 /// ```
@@ -599,6 +715,8 @@ pub struct SearchSession<'q, Q: ?Sized> {
     /// whenever a recursive call at `depth` runs.
     path: Vec<Constant>,
     scratch: Database,
+    /// The key buffer of closed-form generation, reused across walks.
+    key: CompletionKey,
 }
 
 impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
@@ -636,6 +754,7 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
             changed,
             path: Vec::new(),
             scratch: Database::new(),
+            key: CompletionKey::new(),
         })
     }
 
@@ -663,6 +782,7 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
             changed: Vec::new(),
             path: Vec::new(),
             scratch: Database::new(),
+            key: CompletionKey::new(),
         }
     }
 
@@ -674,8 +794,8 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
     }
 
     /// The DFS null exploration order of every walk on this session. Task
-    /// prefixes handed to the `*_subtree` walks assign `order()[0..k]` in
-    /// this order.
+    /// prefixes handed to [`walk_task`](SearchSession::walk_task) assign
+    /// `order()[0..k]` in this order.
     pub fn order(&self) -> &[usize] {
         &self.plan.order
     }
@@ -698,8 +818,8 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
     /// Returns the session to its root state — every null unbound, the
     /// residual state back at its construction snapshot — at reset cost
     /// (`O(touched occurrences)` plus a status memcpy), not rebuild cost.
-    /// Root-entry walks call this themselves; it only needs to be called
-    /// explicitly around direct `*_subtree` use.
+    /// Root walks call this themselves; it only needs to be called
+    /// explicitly around [`walk_task`](SearchSession::walk_task) use.
     pub fn rewind(&mut self) {
         self.g.reset();
         // Discard the pending dirty batch: the wholesale state rewind below
@@ -754,9 +874,10 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
     /// patch declines (e.g. a previously-empty relation coming alive), the
     /// evaluator alone is recompiled and the call still succeeds.
     ///
-    /// Page summaries are owned by the caller, not the session; after a
-    /// successful advance, carried [`PageSummary`] marks are stale and must
-    /// be dropped via [`PageSummary::invalidate_span`].
+    /// Page summaries are owned by the caller, not the session. A table
+    /// delta moves every completion key, so after a successful advance a
+    /// carried [`PageSummary`] is stale: plan a fresh one
+    /// ([`PageSummary::plan`]) before the next recording walk.
     pub fn advance_to(&mut self, db: &IncompleteDatabase, built_at: u64) -> bool {
         if !self.is_quiescent() {
             return false;
@@ -836,115 +957,93 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
     }
 
     /// Counts the valuations satisfying the query over the whole search
-    /// tree — one full walk from the root, with `Satisfied` subtrees
-    /// credited in closed form and `Refuted` subtrees discarded.
+    /// tree — one full walk from the root with the [`CountValuations`]
+    /// sink, `Satisfied` subtrees credited in closed form and `Refuted`
+    /// subtrees discarded.
     pub fn count(&mut self) -> BigNat {
-        self.rewind();
-        let mut acc = NatAccumulator::new();
-        self.count_rec(0, None, &mut acc);
-        acc.into_total()
+        let mut sink = CountValuations::default();
+        self.walk(&mut sink);
+        sink.into_total()
     }
 
-    /// Counts the satisfying valuations of one task's subtree into `acc`:
-    /// the prefix assigns `order()[0..prefix.len()]`, and unexplored
-    /// sibling branches are donated through `steal` when other workers
-    /// starve. The session seeks to the prefix at reset cost.
-    pub fn count_subtree(
-        &mut self,
-        prefix: &[Constant],
-        steal: Option<&StealGate<'_>>,
-        acc: &mut NatAccumulator,
-    ) {
-        self.start_task(prefix);
-        self.count_rec(prefix.len(), steal, acc);
-    }
-
-    fn count_rec(&mut self, depth: usize, steal: Option<&StealGate<'_>>, acc: &mut NatAccumulator) {
-        match self.outcome() {
-            PartialOutcome::Satisfied => acc.add_big(&self.plan.suffix[depth]),
-            PartialOutcome::Refuted => {}
-            PartialOutcome::Unknown => {
-                if depth == self.plan.order.len() {
-                    // Fully bound yet undecided: the query type has no
-                    // residual evaluation, so materialise and model-check.
-                    self.g
-                        .completion_into(&mut self.scratch)
-                        .expect("every null is bound at a leaf");
-                    if self.q.holds(&self.scratch) {
-                        acc.add_one();
-                    }
-                } else {
-                    let i = self.plan.order[depth];
-                    let mut last = self.g.domain_by_index(i).len();
-                    let mut k = 0;
-                    while k < last {
-                        if k + 1 < last && self.maybe_donate(depth, k + 1, steal) {
-                            last = k + 1;
-                        }
-                        let value = self.g.domain_by_index(i)[k];
-                        self.g.bind_index(i, value);
-                        self.path.push(value);
-                        self.count_rec(depth + 1, steal, acc);
-                        self.path.pop();
-                        k += 1;
-                    }
-                    self.g.unbind_index(i);
-                }
-            }
-        }
-    }
-
-    /// Walks every satisfying completion leaf in the session's canonical
-    /// depth-first order, handing the fully bound grounding to `visitor` at
-    /// each one. Returns `true` if the walk covered the whole tree, `false`
-    /// if the visitor stopped it early — either way the session is back at
-    /// its root state afterwards, ready for the next walk.
-    pub fn visit_completions<V>(&mut self, visitor: &mut V) -> bool
+    /// Walks the whole search tree from the root in the session's canonical
+    /// depth-first order, driving `sink` through its hooks. Returns `true`
+    /// if the walk covered the whole tree, `false` if the sink stopped it
+    /// early — either way the session is back at its root state
+    /// afterwards, ready for the next walk.
+    pub fn walk<S>(&mut self, sink: &mut S) -> bool
     where
-        V: CompletionVisitor + ?Sized,
+        S: CompletionVisitor + ?Sized,
     {
         self.rewind();
-        self.visit_rec(0, false, None, visitor)
+        self.descend(0, false, None, sink)
     }
 
-    /// Walks the satisfying completion leaves of one task's subtree (see
-    /// [`count_subtree`](SearchSession::count_subtree) for the task
-    /// protocol). Returns `false` if the visitor stopped the walk.
-    pub fn visit_subtree<V>(
+    /// Walks one task's subtree: the prefix assigns
+    /// `order()[0..prefix.len()]`, and unexplored sibling branches are
+    /// donated through `steal` when other workers starve. The sink first
+    /// [`enter`](CompletionVisitor::enter)s each prefix level, so a
+    /// recording [`PageSink`] drops a task whose ancestor is already served
+    /// without binding anything; otherwise the session seeks to the prefix
+    /// at reset cost. Returns `false` if the sink stopped the walk.
+    pub fn walk_task<S>(
         &mut self,
         prefix: &[Constant],
         steal: Option<&StealGate<'_>>,
-        visitor: &mut V,
+        sink: &mut S,
     ) -> bool
     where
-        V: CompletionVisitor + ?Sized,
+        S: CompletionVisitor + ?Sized,
     {
-        self.start_task(prefix);
-        self.visit_rec(prefix.len(), false, steal, visitor)
+        let mut entered = 0;
+        while entered < prefix.len() {
+            let dom = self.g.domain_by_index(self.plan.order[entered]);
+            let k = dom
+                .binary_search(&prefix[entered])
+                .expect("task prefixes assign domain values");
+            if !sink.enter(entered, k) {
+                break;
+            }
+            entered += 1;
+        }
+        let keep_going = entered < prefix.len() || {
+            self.start_task(prefix);
+            self.descend(prefix.len(), false, steal, sink)
+        };
+        for depth in (0..entered).rev() {
+            sink.leave(depth);
+        }
+        keep_going
     }
 
-    /// The leaf walk: `decided` records that an ancestor already proved the
+    /// The one walk: `decided` records that an ancestor already proved the
     /// query `Satisfied` (no completion below can fail, so checks are
     /// skipped); a donated task re-derives it at its root, since
     /// `Satisfied` is monotone along a binding path.
-    fn visit_rec<V>(
+    fn descend<S>(
         &mut self,
         depth: usize,
         decided: bool,
         steal: Option<&StealGate<'_>>,
-        visitor: &mut V,
+        sink: &mut S,
     ) -> bool
     where
-        V: CompletionVisitor + ?Sized,
+        S: CompletionVisitor + ?Sized,
     {
         let decided = decided
             || match self.outcome() {
                 PartialOutcome::Satisfied => true,
-                PartialOutcome::Refuted => return true,
+                PartialOutcome::Refuted => {
+                    sink.refuted(depth);
+                    return true;
+                }
                 PartialOutcome::Unknown => false,
             };
+        if decided && sink.satisfied(&self.plan.suffix[depth]) {
+            return true;
+        }
         if depth == self.plan.sep_cut {
-            match visitor.class_node(&self.g, decided) {
+            match sink.class_node(&self.g, decided) {
                 ClassAction::Descend => {}
                 ClassAction::Skip => return true,
                 ClassAction::Stop => return false,
@@ -953,9 +1052,9 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
                     // below the cut they are pairwise-distinct completions.
                     // Donation is disabled inside a class so the count stays
                     // whole; classes above the cut still parallelise.
-                    let mut acc = NatAccumulator::new();
-                    self.count_rec(depth, None, &mut acc);
-                    return visitor.class_counted(&acc.into_total());
+                    let mut count = CountValuations::default();
+                    self.descend(depth, decided, None, &mut count);
+                    return sink.class_counted(&count.into_total());
                 }
             }
         }
@@ -966,9 +1065,13 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
                     .expect("every null is bound at a leaf");
                 self.q.holds(&self.scratch)
             };
-            if satisfied {
-                return visitor.leaf(&self.g);
-            }
+            let keep_going = !satisfied || sink.leaf(&self.g);
+            sink.finished(depth, true);
+            return keep_going;
+        }
+        if decided && depth >= self.plan.sep_cut && sink.generates(depth) {
+            self.generate_separable(depth, sink);
+            sink.finished(depth, steal.is_none());
             return true;
         }
         let i = self.plan.order[depth];
@@ -979,236 +1082,24 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
             if k + 1 < last && self.maybe_donate(depth, k + 1, steal) {
                 last = k + 1;
             }
-            let value = self.g.domain_by_index(i)[k];
-            self.g.bind_index(i, value);
-            self.path.push(value);
-            keep_going = self.visit_rec(depth + 1, decided, steal, visitor);
-            self.path.pop();
+            if sink.enter(depth, k) {
+                let value = self.g.domain_by_index(i)[k];
+                self.g.bind_index(i, value);
+                self.path.push(value);
+                keep_going = self.descend(depth + 1, decided, steal, sink);
+                self.path.pop();
+                sink.leave(depth);
+            }
             k += 1;
         }
         self.g.unbind_index(i);
+        if keep_going {
+            sink.finished(depth, steal.is_none());
+        }
         keep_going
     }
 
-    /// One bounded selection walk: collects into `page` the `cap` smallest
-    /// distinct completion fingerprints strictly greater than `after`
-    /// (displacing the running maximum once the page fills), over the whole
-    /// tree — the paging primitive behind `incdb-stream`'s
-    /// `CompletionStream`. Resident memory is `O(cap)` fingerprints
-    /// regardless of how many completions exist.
-    ///
-    /// `page` is not cleared first: pre-existing entries participate in the
-    /// bound, so several selection walks (e.g. per-worker subtree walks of
-    /// a parallel page fill) can accumulate into one heap.
-    pub fn select_page(&mut self, after: Option<&CompletionKey>, cap: usize, page: &mut PageHeap) {
-        self.rewind();
-        let mut ctx = PageCtx {
-            after,
-            cap: cap.max(1),
-            page,
-            scratch: CompletionKey::new(),
-            rec: None,
-        };
-        self.select_rec(0, 0, false, None, &mut ctx);
-    }
-
-    /// [`select_page`](SearchSession::select_page) with the cursor-pruning
-    /// summary protocol: previous walks' marks in `summary` prune subtrees
-    /// provably below `after`, provably beyond a full page, or provably
-    /// empty — and this walk's observations land in `bottom` (a
-    /// [`PageSummary::worksheet`]), to be folded back via
-    /// [`PageSummary::absorb`] afterwards. The page produced is **exactly**
-    /// the page the unpruned walk would produce; only the work differs.
-    pub fn select_page_recorded(
-        &mut self,
-        after: Option<&CompletionKey>,
-        cap: usize,
-        page: &mut PageHeap,
-        summary: &PageSummary,
-        bottom: &mut [Mark],
-    ) {
-        self.rewind();
-        let mut ctx = PageCtx {
-            after,
-            cap: cap.max(1),
-            page,
-            scratch: CompletionKey::new(),
-            rec: Some(PageRecorder {
-                summary,
-                bottom,
-                can_mark_empty: true,
-            }),
-        };
-        self.select_rec(0, 0, false, None, &mut ctx);
-    }
-
-    /// The bounded selection walk of one task's subtree (see
-    /// [`count_subtree`](SearchSession::count_subtree) for the task
-    /// protocol and [`select_page`](SearchSession::select_page) for the
-    /// selection semantics) — the per-worker piece of a parallel page fill.
-    pub fn select_page_subtree(
-        &mut self,
-        prefix: &[Constant],
-        steal: Option<&StealGate<'_>>,
-        after: Option<&CompletionKey>,
-        cap: usize,
-        page: &mut PageHeap,
-    ) {
-        self.start_task(prefix);
-        let mut ctx = PageCtx {
-            after,
-            cap: cap.max(1),
-            page,
-            scratch: CompletionKey::new(),
-            rec: None,
-        };
-        self.select_rec(prefix.len(), 0, false, steal, &mut ctx);
-    }
-
-    /// [`select_page_subtree`](SearchSession::select_page_subtree) with the
-    /// summary protocol of
-    /// [`select_page_recorded`](SearchSession::select_page_recorded): the
-    /// task's ancestor nodes are prune-checked up front (a fully-served
-    /// task returns without binding anything), observations land in the
-    /// worker's own `bottom` worksheet, and completed-but-empty nodes are
-    /// **not** marked (only this walk's `Refuted` proofs are), since one
-    /// task covers only part of a node.
-    #[allow(clippy::too_many_arguments)]
-    pub fn select_page_subtree_recorded(
-        &mut self,
-        prefix: &[Constant],
-        steal: Option<&StealGate<'_>>,
-        after: Option<&CompletionKey>,
-        cap: usize,
-        page: &mut PageHeap,
-        summary: &PageSummary,
-        bottom: &mut [Mark],
-    ) {
-        // Locate the task's node at each summary level and prune the whole
-        // task if any ancestor is already served for this page.
-        let cap = cap.max(1);
-        let mut node = 0usize;
-        for (d, &value) in prefix.iter().enumerate().take(summary.depth()) {
-            let dom = self.g.domain_by_index(self.plan.order[d]);
-            let k = dom
-                .binary_search(&value)
-                .expect("task prefixes assign domain values");
-            node = node * summary.widths[d] + k;
-            let served = match summary.mark(d + 1, node) {
-                Mark::Unvisited => false,
-                Mark::Empty => true,
-                Mark::Span(min, max) => {
-                    after.is_some_and(|a| max <= a)
-                        || (page.len() >= cap && page.last().is_some_and(|pmax| min >= pmax))
-                }
-            };
-            if served {
-                return;
-            }
-        }
-        let mut ctx = PageCtx {
-            after,
-            cap,
-            page,
-            scratch: CompletionKey::new(),
-            rec: Some(PageRecorder {
-                summary,
-                bottom,
-                can_mark_empty: false,
-            }),
-        };
-        self.start_task(prefix);
-        self.select_rec(prefix.len(), node, false, steal, &mut ctx);
-    }
-
-    /// The selection walk itself: DFS like
-    /// [`visit_rec`](SearchSession::visit_rec), with the page-heap filter
-    /// inlined (a page never stops a walk early, so there is no `bool`
-    /// plumbing) and, when a recorder is attached, summary-node pruning on
-    /// the way down and span/empty recording on the way up. `node` is the
-    /// current summary-node index, frozen once `depth` passes the summary
-    /// depth.
-    fn select_rec(
-        &mut self,
-        depth: usize,
-        node: usize,
-        decided: bool,
-        steal: Option<&StealGate<'_>>,
-        ctx: &mut PageCtx<'_>,
-    ) {
-        let sum_depth = ctx.summary_depth();
-        let decided = decided
-            || match self.outcome() {
-                PartialOutcome::Satisfied => true,
-                PartialOutcome::Refuted => {
-                    if depth <= sum_depth {
-                        ctx.refute_subtree(depth, node);
-                    }
-                    return;
-                }
-                PartialOutcome::Unknown => false,
-            };
-        if depth == self.plan.order.len() {
-            let satisfied = decided || {
-                self.g
-                    .completion_into(&mut self.scratch)
-                    .expect("every null is bound at a leaf");
-                self.q.holds(&self.scratch)
-            };
-            if satisfied {
-                self.g
-                    .completion_fingerprint_into(&mut ctx.scratch)
-                    .expect("every null is bound at a leaf");
-                ctx.admit(node);
-            }
-            if depth == sum_depth {
-                // A leaf coincides with its bottom node, so its outcome is
-                // the node's whole truth in any walk mode.
-                ctx.finish_bottom(node, true);
-            }
-            return;
-        }
-        if decided && depth >= self.plan.sep_cut && depth >= sum_depth {
-            // Every remaining null is separable and the query is decided:
-            // the subtree's keys are the cross product of the remaining
-            // domains, generated in closed form without binds or re-walks.
-            self.generate_separable_page(depth, node, ctx);
-            if depth == sum_depth {
-                ctx.finish_bottom(node, false);
-            }
-            return;
-        }
-        let i = self.plan.order[depth];
-        let mut last = self.g.domain_by_index(i).len();
-        let mut k = 0;
-        while k < last {
-            if k + 1 < last && self.maybe_donate(depth, k + 1, steal) {
-                last = k + 1;
-            }
-            let child = if depth < sum_depth {
-                let child = node * self.g.domain_by_index(i).len() + k;
-                if ctx.prunable(depth + 1, child) {
-                    k += 1;
-                    continue;
-                }
-                child
-            } else {
-                node
-            };
-            let value = self.g.domain_by_index(i)[k];
-            self.g.bind_index(i, value);
-            self.path.push(value);
-            self.select_rec(depth + 1, child, decided, steal, ctx);
-            self.path.pop();
-            k += 1;
-        }
-        self.g.unbind_index(i);
-        if depth == sum_depth {
-            ctx.finish_bottom(node, false);
-        }
-    }
-
-    /// Closed-form page generation below the separation cut: every
+    /// Closed-form key generation below the separation cut: every
     /// remaining null is separable — single-occurrence, hosted by a clean
     /// fact — so with the query already decided the subtree's satisfying
     /// keys are *exactly* the cross product of the remaining domains. And
@@ -1219,7 +1110,10 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
     /// its new slot. This is what lets a selection walk emit a separable
     /// subtree at O(1) amortised per key instead of paying the full
     /// per-leaf walk machinery.
-    fn generate_separable_page(&mut self, depth: usize, node: usize, ctx: &mut PageCtx<'_>) {
+    fn generate_separable<S>(&mut self, depth: usize, sink: &mut S)
+    where
+        S: CompletionVisitor + ?Sized,
+    {
         let rest: Vec<usize> = self.plan.order[depth..].to_vec();
         if rest.iter().any(|&i| self.g.domain_by_index(i).is_empty()) {
             return;
@@ -1228,8 +1122,9 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
             let v = self.g.domain_by_index(i)[0];
             self.g.bind_index(i, v);
         }
+        let mut key = std::mem::take(&mut self.key);
         self.g
-            .completion_fingerprint_into(&mut ctx.scratch)
+            .completion_fingerprint_into(&mut key)
             .expect("every null is bound below the cut");
         // Track where each remaining null's tuple sits in the key, and
         // which column it owns. Clean tuples are unique in the key, so the
@@ -1250,8 +1145,7 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
                         .map(|v| v.as_const().expect("fact fully bound"))
                         .collect::<Vec<Constant>>(),
                 );
-                let at = ctx
-                    .scratch
+                let at = key
                     .binary_search(&probe)
                     .expect("clean tuples are present and unique");
                 (at, col)
@@ -1260,10 +1154,10 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
         let mut digits = vec![0usize; rest.len()];
         loop {
             debug_assert!(
-                ctx.scratch.windows(2).all(|w| w[0] < w[1]),
+                key.windows(2).all(|w| w[0] < w[1]),
                 "generated fingerprint lost strict sortedness"
             );
-            ctx.admit(node);
+            sink.generated(&key);
             // Odometer step: bump the innermost null, carrying leftward;
             // every reset and the final bump each retune one tuple.
             let mut d = rest.len();
@@ -1273,6 +1167,7 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
                     for &i in rest.iter().rev() {
                         self.g.unbind_index(i);
                     }
+                    self.key = key;
                     return;
                 }
                 d -= 1;
@@ -1280,12 +1175,12 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
                 digits[d] += 1;
                 if digits[d] < dom.len() {
                     let v = dom[digits[d]];
-                    Self::retune_slot(&mut ctx.scratch, &mut slots, d, v);
+                    Self::retune_slot(&mut key, &mut slots, d, v);
                     break;
                 }
                 digits[d] = 0;
                 let v = dom[0];
-                Self::retune_slot(&mut ctx.scratch, &mut slots, d, v);
+                Self::retune_slot(&mut key, &mut slots, d, v);
             }
         }
     }
@@ -1363,11 +1258,11 @@ mod tests {
         let mut session = SearchSession::new(&db, &q).unwrap();
         // Count, enumerate, page — all on the same context, interleaved.
         assert_eq!(session.count(), BigNat::from(4u64));
-        let mut keys = HashSet::new();
-        assert!(session.visit_completions(&mut CollectKeys { keys: &mut keys }));
-        assert_eq!(keys.len(), 3);
+        let mut keys = CollectKeys::default();
+        assert!(session.walk(&mut keys));
+        assert_eq!(keys.keys.len(), 3);
         let mut page = PageHeap::new();
-        session.select_page(None, 2, &mut page);
+        session.walk(&mut PageSink::new(None, 2, &mut page));
         assert_eq!(page.len(), 2);
         assert_eq!(session.count(), BigNat::from(4u64));
     }
@@ -1387,7 +1282,7 @@ mod tests {
                 seen: 0,
                 stop_after,
             };
-            assert!(!session.visit_completions(&mut abort));
+            assert!(!session.walk(&mut abort));
             assert_eq!(session.count(), expected_count, "after abort {stop_after}");
         }
     }
@@ -1403,7 +1298,7 @@ mod tests {
             seen: 0,
             stop_after: 2,
         };
-        assert!(!fork.visit_completions(&mut abort));
+        assert!(!fork.walk(&mut abort));
         assert_eq!(session.count(), BigNat::from(6u64));
         assert_eq!(fork.count(), BigNat::from(6u64));
     }
@@ -1418,22 +1313,21 @@ mod tests {
         // task by task on the same session.
         let first = session.order()[0];
         let dom: Vec<Constant> = session.grounding().domain_by_index(first).to_vec();
-        let mut acc = NatAccumulator::new();
-        for value in dom {
-            session.count_subtree(&[value], None, &mut acc);
+        let mut count = CountValuations::default();
+        for &value in &dom {
+            assert!(session.walk_task(&[value], None, &mut count));
         }
-        assert_eq!(acc.into_total(), whole);
+        assert_eq!(count.into_total(), whole);
         session.rewind();
 
         // Same for the selection walk: per-subtree pages merge to the
         // sequential page.
         let mut sequential = PageHeap::new();
-        session.select_page(None, 3, &mut sequential);
-        let first = session.order()[0];
-        let dom: Vec<Constant> = session.grounding().domain_by_index(first).to_vec();
+        session.walk(&mut PageSink::new(None, 3, &mut sequential));
         let mut merged = PageHeap::new();
-        for value in dom {
-            session.select_page_subtree(&[value], None, None, 3, &mut merged);
+        let mut sink = PageSink::new(None, 3, &mut merged);
+        for &value in &dom {
+            session.walk_task(&[value], None, &mut sink);
         }
         session.rewind();
         assert_eq!(merged.as_slice(), sequential.as_slice());
@@ -1504,10 +1398,8 @@ mod tests {
             if expect_classes_below {
                 assert!(cut < session.order().len(), "separable nulls demoted");
             }
-            let mut reference = HashSet::new();
-            session.visit_completions(&mut CollectKeys {
-                keys: &mut reference,
-            });
+            let mut reference = CollectKeys::default();
+            session.walk(&mut reference);
             let mut counter = ClassCounter {
                 class_facts: session.class_facts().to_vec(),
                 seen: HashSet::new(),
@@ -1515,8 +1407,8 @@ mod tests {
                 total: BigNat::zero(),
                 classes: 0,
             };
-            assert!(session.visit_completions(&mut counter));
-            assert_eq!(counter.total, BigNat::from(reference.len() as u64));
+            assert!(session.walk(&mut counter));
+            assert_eq!(counter.total, BigNat::from(reference.keys.len() as u64));
             // Interleaving with other walk kinds keeps the session exact.
             assert_eq!(session.count(), session.count());
         }
@@ -1536,7 +1428,7 @@ mod tests {
         let db = mixed_instance();
         let q = Tautology;
         let mut session = SearchSession::new(&db, &q).unwrap();
-        assert!(!session.visit_completions(&mut StopAtFirstClass));
+        assert!(!session.walk(&mut StopAtFirstClass));
         // The aborted walk rewinds cleanly.
         assert!(session.count() > BigNat::zero());
     }
@@ -1553,7 +1445,7 @@ mod tests {
             let mut exhausted_early = false;
             loop {
                 let mut page = PageHeap::new();
-                session.select_page(plain.last(), 3, &mut page);
+                session.walk(&mut PageSink::new(plain.last(), 3, &mut page));
                 let done = page.len() < 3;
                 plain.extend(page.drain());
                 if done {
@@ -1567,7 +1459,9 @@ mod tests {
                 }
                 let mut page = PageHeap::new();
                 let mut sheet = summary.worksheet();
-                session.select_page_recorded(pruned.last(), 3, &mut page, &summary, &mut sheet);
+                let mut sink =
+                    PageSink::new(pruned.last(), 3, &mut page).recording(&summary, &mut sheet);
+                session.walk(&mut sink);
                 summary.absorb([sheet.as_slice()]);
                 let done = page.len() < 3;
                 pruned.extend(page.drain());
@@ -1589,49 +1483,54 @@ mod tests {
         let db = mixed_instance();
         let q = Tautology;
         let mut session = SearchSession::new(&db, &q).unwrap();
-        let mut summary = PageSummary::plan(session.grounding(), session.order(), 64);
         let first = session.order()[0];
         let dom: Vec<Constant> = session.grounding().domain_by_index(first).to_vec();
-        let mut after: Option<CompletionKey> = None;
-        let mut expected_pages: Vec<CompletionKey> = Vec::new();
-        let mut got_pages: Vec<CompletionKey> = Vec::new();
-        loop {
-            // Reference page, unpruned sequential walk.
-            let mut reference = PageHeap::new();
-            session.select_page(after.as_ref(), 4, &mut reference);
-            // Parallel-style fill: one recorded subtree walk per first-level
-            // branch, each with its own worksheet, merged afterwards.
-            let mut merged = PageHeap::new();
-            let mut sheets: Vec<Vec<Mark>> = Vec::new();
-            for &value in &dom {
-                let mut sheet = summary.worksheet();
-                session.select_page_subtree_recorded(
-                    &[value],
-                    None,
-                    after.as_ref(),
-                    4,
-                    &mut merged,
-                    &summary,
-                    &mut sheet,
-                );
-                sheets.push(sheet);
+        // An idle gate never donates (no worker starves), but a gated task
+        // walk must still assume it might have and mark no completed node
+        // empty; an ungated one covers its subtree alone.
+        let queue = TaskQueue::new(Vec::new());
+        let gate = StealGate {
+            queue: &queue,
+            min_split_valuations: 1,
+        };
+        for steal in [None, Some(&gate)] {
+            let mut summary = PageSummary::plan(session.grounding(), session.order(), 64);
+            let mut after: Option<CompletionKey> = None;
+            let mut expected_pages: Vec<CompletionKey> = Vec::new();
+            let mut got_pages: Vec<CompletionKey> = Vec::new();
+            loop {
+                // Reference page, unpruned sequential walk.
+                let mut reference = PageHeap::new();
+                session.walk(&mut PageSink::new(after.as_ref(), 4, &mut reference));
+                // Parallel-style fill: one recorded task walk per
+                // first-level branch, each with its own worksheet, merged
+                // afterwards.
+                let mut merged = PageHeap::new();
+                let mut sheets: Vec<Vec<Mark>> = Vec::new();
+                for &value in &dom {
+                    let mut sheet = summary.worksheet();
+                    let mut sink = PageSink::new(after.as_ref(), 4, &mut merged)
+                        .recording(&summary, &mut sheet);
+                    assert!(session.walk_task(&[value], steal, &mut sink));
+                    sheets.push(sheet);
+                }
+                session.rewind();
+                summary.absorb(sheets.iter().map(Vec::as_slice));
+                assert_eq!(merged.as_slice(), reference.as_slice());
+                let done = reference.len() < 4;
+                expected_pages.extend(reference.iter().cloned());
+                got_pages.extend(merged.drain());
+                after = expected_pages.last().cloned();
+                if done {
+                    break;
+                }
             }
-            session.rewind();
-            summary.absorb(sheets.iter().map(Vec::as_slice));
-            assert_eq!(merged.as_slice(), reference.as_slice());
-            let done = reference.len() < 4;
-            expected_pages.extend(reference.iter().cloned());
-            got_pages.extend(merged.drain());
-            after = expected_pages.last().cloned();
-            if done {
-                break;
-            }
+            assert_eq!(expected_pages, got_pages);
+            assert!(
+                summary.served(after.as_ref()),
+                "root span known after drain"
+            );
         }
-        assert_eq!(expected_pages, got_pages);
-        assert!(
-            summary.served(after.as_ref()),
-            "root span known after drain"
-        );
     }
 
     /// Two disjoint single-null facts whose constant columns keep the DFS
@@ -1650,6 +1549,66 @@ mod tests {
     }
 
     #[test]
+    fn donating_task_walks_leave_partially_walked_nodes_unmarked() {
+        // R(⊥0) under R(1): the ⊥0 = 0 branch is refuted, the ⊥0 = 1
+        // branch holds every completion. A task walk that donates the
+        // second branch observes nothing, yet must not mark the root
+        // (the summary's only node) empty.
+        let mut db = IncompleteDatabase::new_non_uniform();
+        db.add_fact("R", vec![Value::null(0)]).unwrap();
+        db.add_fact("S", vec![Value::null(1)]).unwrap();
+        db.set_domain(NullId(0), [0u64, 1]).unwrap();
+        db.set_domain(NullId(1), [0u64, 1, 2, 3]).unwrap();
+        let q: Bcq = "R(1)".parse().unwrap();
+        let mut session = SearchSession::new(&db, &q).unwrap();
+        let mut summary = PageSummary::plan(session.grounding(), session.order(), 1);
+        assert_eq!(summary.depth(), 0);
+
+        let queue = TaskQueue::new(vec![Vec::new()]);
+        let root = queue.next_task().unwrap();
+        let (mut kept, mut kept_sheet) = (PageHeap::new(), summary.worksheet());
+        // Assertions wait until the thief is joined: a panic inside the
+        // scope would leave it blocked on the queue forever.
+        let donated = std::thread::scope(|scope| {
+            let thief = scope.spawn(|| {
+                let mut donated = Vec::new();
+                while let Some(prefix) = queue.next_task() {
+                    donated.push(prefix);
+                    queue.finish_task();
+                }
+                donated
+            });
+            while !queue.wants_work() {
+                std::thread::yield_now();
+            }
+            let gate = StealGate {
+                queue: &queue,
+                min_split_valuations: 1,
+            };
+            let mut sink = PageSink::new(None, 8, &mut kept).recording(&summary, &mut kept_sheet);
+            session.walk_task(&root, Some(&gate), &mut sink);
+            queue.finish_task();
+            thief.join().unwrap()
+        });
+        assert!(kept.is_empty(), "the kept branch is refuted");
+        assert_eq!(
+            kept_sheet,
+            [Mark::Unvisited],
+            "a donating walk marks nothing"
+        );
+        assert!(!donated.is_empty(), "the walk donated its sibling branch");
+        let (mut page, mut sheet) = (PageHeap::new(), summary.worksheet());
+        let mut sink = PageSink::new(None, 8, &mut page).recording(&summary, &mut sheet);
+        for prefix in &donated {
+            session.walk_task(prefix, None, &mut sink);
+        }
+        summary.absorb([sheet.as_slice()]);
+        assert_eq!(page.len(), 4);
+        assert!(summary.served(page.last()));
+        assert!(!summary.served(None));
+    }
+
+    #[test]
     fn summary_prunes_visits_not_just_in_theory() {
         // On a key-local instance the first page exhausts an entire
         // first-level subtree, and the recorded summary must prove it: the
@@ -1663,7 +1622,7 @@ mod tests {
         // First page, recorded: the 3 completions with ⊥0 = 0 sort first.
         let mut page = PageHeap::new();
         let mut sheet = summary.worksheet();
-        session.select_page_recorded(None, 3, &mut page, &summary, &mut sheet);
+        session.walk(&mut PageSink::new(None, 3, &mut page).recording(&summary, &mut sheet));
         summary.absorb([sheet.as_slice()]);
         assert_eq!(page.len(), 3);
         let cursor = page.last().cloned().unwrap();
@@ -1681,7 +1640,8 @@ mod tests {
         // The pruned second page still returns the correct remainder.
         let mut rest = PageHeap::new();
         let mut sheet = summary.worksheet();
-        session.select_page_recorded(Some(&cursor), 8, &mut rest, &summary, &mut sheet);
+        let mut sink = PageSink::new(Some(&cursor), 8, &mut rest).recording(&summary, &mut sheet);
+        session.walk(&mut sink);
         summary.absorb([sheet.as_slice()]);
         assert_eq!(rest.len(), 3, "three completions remain past the cursor");
         assert!(rest.iter().all(|k| *k > cursor));
@@ -1703,9 +1663,8 @@ mod tests {
         // A direct subtree walk leaves bound state behind; quiesce clears it.
         let first = session.order()[0];
         let value = session.grounding().domain_by_index(first)[0];
-        let mut acc = NatAccumulator::new();
-        session.count_subtree(&[value], None, &mut acc);
-        assert!(!session.is_quiescent(), "subtree walks leave a bound path");
+        session.walk_task(&[value], None, &mut CountValuations::default());
+        assert!(!session.is_quiescent(), "task walks leave a bound path");
         session.quiesce();
         assert!(session.is_quiescent());
         // An aborted walk likewise checks back in cleanly.
@@ -1713,7 +1672,7 @@ mod tests {
             seen: 0,
             stop_after: 1,
         };
-        assert!(!session.visit_completions(&mut abort));
+        assert!(!session.walk(&mut abort));
         session.quiesce();
         assert!(session.is_quiescent());
         // 4 nulls over {0,1} and 2 nulls over {0,1,2}: 2⁴·3² valuations.
@@ -1745,7 +1704,7 @@ mod tests {
         let mut seen: Vec<CompletionKey> = Vec::new();
         loop {
             let mut page = PageHeap::new();
-            session.select_page(seen.last(), 2, &mut page);
+            session.walk(&mut PageSink::new(seen.last(), 2, &mut page));
             let got = page.len();
             seen.extend(page.drain());
             if got < 2 {
@@ -1781,8 +1740,8 @@ mod tests {
         let mut fresh = SearchSession::new(&db, &q).unwrap();
         assert_eq!(session.count(), fresh.count());
         let (mut a, mut b) = (PageHeap::new(), PageHeap::new());
-        session.select_page(None, 64, &mut a);
-        fresh.select_page(None, 64, &mut b);
+        session.walk(&mut PageSink::new(None, 64, &mut a));
+        fresh.walk(&mut PageSink::new(None, 64, &mut b));
         assert!(
             !a.is_empty(),
             "the patched instance still satisfies the query"
@@ -1797,36 +1756,5 @@ mod tests {
         let at = db.revision();
         db.add_fact("T", vec![Value::constant(0)]).unwrap();
         assert!(!session.advance_to(&db, at));
-    }
-
-    #[test]
-    fn invalidate_span_resets_exactly_the_intersecting_marks() {
-        let db = mixed_instance();
-        let q = Tautology;
-        let mut session = SearchSession::new(&db, &q).unwrap();
-        let mut summary = PageSummary::plan(session.grounding(), session.order(), 64);
-        // Record real marks by walking the whole instance through the
-        // recorded selection path.
-        let mut sheet = summary.worksheet();
-        let mut page = PageHeap::new();
-        session.select_page_recorded(None, usize::MAX, &mut page, &summary, &mut sheet);
-        summary.absorb([sheet.as_slice()]);
-        assert!(summary.resident_keys() > 0, "the walk recorded spans");
-        assert!(summary.served(page.last()));
-
-        // An unbounded invalidation (what a table delta requires) drops
-        // every recorded mark.
-        let mut wiped = summary.clone();
-        wiped.invalidate_span(None, None);
-        assert_eq!(wiped.resident_keys(), 0);
-        assert!(!wiped.served(page.last()));
-
-        // A bounded invalidation outside every recorded span keeps them:
-        // the empty key is lexicographically below every recorded one.
-        let below = CompletionKey::new();
-        let resident = summary.resident_keys();
-        summary.invalidate_span(None, Some(&below));
-        assert_eq!(summary.resident_keys(), resident);
-        assert!(summary.served(page.last()));
     }
 }

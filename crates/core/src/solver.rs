@@ -104,40 +104,9 @@ impl From<AlgorithmError> for SolveError {
     }
 }
 
-/// Valuation-count ceiling below which the solver prefers the backtracking
-/// engine over the Theorem 3.9 inclusion–exclusion DP for `#Val`. The DP
-/// enumerates variable subsets and runs big-integer combinatorics regardless
-/// of how small the database is, while the engine just walks a tiny
-/// valuation tree with incremental residual evaluation. The crossover is
-/// measured by the `tiny_ie_*` rows of `cargo bench --bench engine` (see
-/// `BENCH_engine.json`): through 256 valuations on the reference shape the
-/// two are within ~10% of parity with the engine usually slightly ahead
-/// (typical medians 1.0–1.1×), so routing below this cutoff is at worst
-/// neutral and avoids the DP's big-rational setup entirely. Completion
-/// counting is the opposite case and **ignores this cutoff**: the Theorem
-/// 4.6 unary completion counter is ~5× cheaper than the distinct-completion
-/// search even on tiny instances (completion search cannot prune into
-/// closed forms), so [`count_completions`] / [`count_all_completions`] try
-/// the closed form first at every size — the routing the `tiny_comp_all`
-/// bench row measures (solver-routed closed form vs raw engine search,
-/// asserted ≥1×) and the `tiny_instances_prefer_the_engine_over_exponential_setup`
-/// test pins. The linear-setup closed forms (Theorems 3.6 / 3.7) likewise
-/// stay preferred at every size.
-pub const ENGINE_TINY_INSTANCE_VALUATIONS: u64 = 64;
-
-/// Returns `true` if `db` is small enough that raw search beats the
-/// inclusion–exclusion setup cost.
-fn prefers_engine_when_tiny(db: &IncompleteDatabase) -> bool {
-    db.valuation_count()
-        .to_u64()
-        .is_some_and(|v| v <= ENGINE_TINY_INSTANCE_VALUATIONS)
-}
-
 /// Computes `#Val(q)(db)`: the number of valuations of `db` whose completion
-/// satisfies `q`. Routes to the tractable algorithms of Section 3 when they
-/// apply — except on tiny instances, where the engine beats the
-/// inclusion–exclusion setup cost (see
-/// [`ENGINE_TINY_INSTANCE_VALUATIONS`]) — and falls back to exhaustive
+/// satisfies `q`. Routes to the tractable algorithms of Section 3 whenever
+/// they apply, at every instance size, and falls back to exhaustive
 /// enumeration otherwise.
 pub fn count_valuations(db: &IncompleteDatabase, q: &Bcq) -> Result<CountOutcome, SolveError> {
     db.validate()?;
@@ -155,7 +124,7 @@ pub fn count_valuations(db: &IncompleteDatabase, q: &Bcq) -> Result<CountOutcome
             method: Method::CoddFactorisation,
         });
     }
-    if db.is_uniform() && val_uniform::applies_to_query(q) && !prefers_engine_when_tiny(db) {
+    if db.is_uniform() && val_uniform::applies_to_query(q) {
         let value = val_uniform::count_valuations(db, q)?;
         return Ok(CountOutcome {
             value,
@@ -228,7 +197,9 @@ pub fn completion_closed_form(
 /// uniform with a unary schema, and falls back to enumeration otherwise —
 /// which is the best that can be done in general, since counting completions
 /// is #P-hard for *every* self-join-free BCQ over non-uniform databases
-/// (Theorem 4.3).
+/// (Theorem 4.3). The closed form is tried first at every size: it beats
+/// distinct-completion search even on tiny instances (the `tiny_comp_all`
+/// row of `cargo bench --bench engine`).
 pub fn count_completions(db: &IncompleteDatabase, q: &Bcq) -> Result<CountOutcome, SolveError> {
     db.validate()?;
     if let Some(outcome) = completion_closed_form(db, Some(q))? {
@@ -282,15 +253,13 @@ mod tests {
         assert_eq!(outcome.method, Method::CoddFactorisation);
         assert_eq!(outcome.value.to_u64(), Some(3));
 
-        // Uniform naïve table + R(x) ∧ S(x): inclusion–exclusion — the
-        // instance must clear the tiny-instance cutoff to route there.
+        // Uniform naïve table + R(x) ∧ S(x): inclusion–exclusion.
         let mut db2 = IncompleteDatabase::new_uniform(0u64..2);
         for i in 0..7 {
             db2.add_fact("R", vec![Value::null(i)]).unwrap();
             db2.add_fact("S", vec![Value::null(i + 7)]).unwrap();
         }
         db2.add_fact("S", vec![Value::null(0)]).unwrap();
-        assert!(db2.valuation_count().to_u64().unwrap() > ENGINE_TINY_INSTANCE_VALUATIONS);
         let outcome = count_valuations(&db2, &q("R(x), S(x)")).unwrap();
         assert_eq!(outcome.method, Method::UniformInclusionExclusion);
 
@@ -311,7 +280,6 @@ mod tests {
             db.add_fact("R", vec![Value::null(i)]).unwrap();
             db.add_fact("S", vec![Value::null(4 + i)]).unwrap();
         }
-        assert!(db.valuation_count().to_u64().unwrap() > ENGINE_TINY_INSTANCE_VALUATIONS);
         let outcome = count_completions(&db, &q("R(x), S(x)")).unwrap();
         assert_eq!(outcome.method, Method::UniformUnaryCompletions);
 
@@ -367,22 +335,20 @@ mod tests {
     }
 
     #[test]
-    fn tiny_instances_prefer_the_engine_over_exponential_setup() {
-        // The same query shapes that route to the Theorem 3.9 / 4.6 closed
-        // forms on large instances go to the engine when the whole
-        // valuation tree is smaller than the closed forms' setup cost —
-        // with identical values.
+    fn tiny_instances_keep_the_closed_form_routing() {
+        // The closed forms route at every size: even a 4-valuation
+        // instance goes to the Theorem 3.9 / 4.6 algorithms, with the
+        // values the engine finds.
         let mut db = IncompleteDatabase::new_uniform(0u64..2);
         db.add_fact("R", vec![Value::null(0)]).unwrap();
         db.add_fact("S", vec![Value::null(0)]).unwrap();
         db.add_fact("S", vec![Value::null(1)]).unwrap();
-        assert!(db.valuation_count().to_u64().unwrap() <= ENGINE_TINY_INSTANCE_VALUATIONS);
 
         let vals = count_valuations(&db, &q("R(x), S(x)")).unwrap();
-        assert_eq!(vals.method, Method::BacktrackingSearch);
+        assert_eq!(vals.method, Method::UniformInclusionExclusion);
         assert_eq!(
             vals.value,
-            val_uniform::count_valuations(&db, &q("R(x), S(x)")).unwrap()
+            enumerate::count_valuations_brute(&db, &q("R(x), S(x)")).unwrap()
         );
 
         // Completion counting keeps its closed form even when tiny: the

@@ -5,12 +5,19 @@
 //! *and* completions, sequentially *and* sharded, for BCQs, unions and
 //! negations.
 
+use std::collections::HashSet;
+
+use incdb_bignum::BigNat;
 use incdb_core::engine::{BacktrackingEngine, CountingEngine, NaiveEngine};
 use incdb_core::generator::{random_database_for_query, GeneratorConfig};
-use incdb_data::IncompleteDatabase;
+use incdb_core::session::{
+    ClassAction, CollectKeys, CompletionVisitor, CountValuations, PageSink, PageSummary,
+    SearchSession,
+};
+use incdb_data::{CompletionKey, Constant, Grounding, IncompleteDatabase, PageHeap};
 use incdb_query::{Bcq, NegatedBcq, Ucq};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn engines() -> Vec<(&'static str, BacktrackingEngine)> {
     vec![
@@ -230,4 +237,184 @@ fn missing_domain_is_an_error_on_every_path() {
     assert!(incdb_core::enumerate::count_completions_brute(&db, &q).is_err());
     assert!(incdb_core::enumerate::count_all_completions_brute(&db).is_err());
     assert!(incdb_core::enumerate::all_completions(&db).is_err());
+}
+
+/// The class-counting sink: memoises each completion class (the resolved
+/// dirty facts at the separation cut) and counts it in closed form. Task
+/// walks that start below the cut never see a class node, so their leaves
+/// are deduplicated by full completion key instead.
+struct ClassCount {
+    class_facts: Vec<bool>,
+    classes: HashSet<CompletionKey>,
+    leaves: HashSet<CompletionKey>,
+    scratch: CompletionKey,
+    total: BigNat,
+}
+
+impl ClassCount {
+    fn new(session: &SearchSession<'_, Bcq>) -> Self {
+        ClassCount {
+            class_facts: session.class_facts().to_vec(),
+            classes: HashSet::new(),
+            leaves: HashSet::new(),
+            scratch: CompletionKey::new(),
+            total: BigNat::zero(),
+        }
+    }
+
+    fn distinct(&self) -> BigNat {
+        &self.total + &BigNat::from(self.leaves.len())
+    }
+}
+
+impl CompletionVisitor for ClassCount {
+    fn leaf(&mut self, g: &Grounding) -> bool {
+        self.leaves.insert(g.completion_fingerprint().unwrap());
+        true
+    }
+
+    fn class_node(&mut self, g: &Grounding, _decided: bool) -> ClassAction {
+        g.partial_fingerprint_into(&self.class_facts, &mut self.scratch)
+            .unwrap();
+        if self.classes.insert(self.scratch.clone()) {
+            ClassAction::Count
+        } else {
+            ClassAction::Skip
+        }
+    }
+
+    fn class_counted(&mut self, distinct: &BigNat) -> bool {
+        self.total = &self.total + distinct;
+        true
+    }
+}
+
+/// Drains every page of the canonical completion order, `size` keys per
+/// page. Each page is filled by a root walk when `tasks` is `None`, and by
+/// one task walk per prefix otherwise; with `summary_cap` the walks prune
+/// by and record into a carried page summary.
+fn drain_pages(
+    session: &mut SearchSession<'_, Bcq>,
+    size: usize,
+    summary_cap: Option<usize>,
+    tasks: Option<&[Vec<Constant>]>,
+) -> Vec<CompletionKey> {
+    let mut summary =
+        summary_cap.map(|cap| PageSummary::plan(session.grounding(), session.order(), cap));
+    let mut keys: Vec<CompletionKey> = Vec::new();
+    loop {
+        if summary.as_ref().is_some_and(|s| s.served(keys.last())) {
+            return keys;
+        }
+        let mut page = PageHeap::new();
+        let mut sheet = summary.as_ref().map_or(Vec::new(), PageSummary::worksheet);
+        let mut sink = PageSink::new(keys.last(), size, &mut page);
+        if let Some(s) = &summary {
+            sink = sink.recording(s, &mut sheet);
+        }
+        match tasks {
+            None => assert!(session.walk(&mut sink)),
+            Some(prefixes) => {
+                for prefix in prefixes {
+                    assert!(session.walk_task(prefix, None, &mut sink));
+                }
+            }
+        }
+        if let Some(s) = &mut summary {
+            s.absorb([sheet.as_slice()]);
+        }
+        let done = page.len() < size;
+        keys.extend(page.drain());
+        if done {
+            return keys;
+        }
+    }
+}
+
+#[test]
+fn every_sink_of_the_one_walk_matches_the_seed_and_composes_over_tasks() {
+    let mut rng = StdRng::seed_from_u64(1512);
+    let planner = BacktrackingEngine::with_threads(4).with_parallel_threshold(1);
+    let mut sharded = 0usize;
+    for query in queries() {
+        for codd in [false, true] {
+            for uniform in [false, true] {
+                let db = random_database_for_query(&query, &config(codd, uniform), &mut rng);
+                let at = format!("{query} codd={codd} uniform={uniform} {db:?}");
+                let expected_vals = NaiveEngine.count_valuations(&db, &query).unwrap();
+                let expected_comps = NaiveEngine.count_completions(&db, &query).unwrap();
+                let mut session = SearchSession::new(&db, &query).unwrap();
+
+                // 1. The count sink is #Val.
+                let mut count = CountValuations::default();
+                assert!(session.walk(&mut count));
+                let vals = count.into_total();
+                assert_eq!(vals, expected_vals, "#Val {at}");
+                assert_eq!(session.count(), vals, "count() {at}");
+
+                // 2. The leaf sink's distinct keys are #Comp, and so is the
+                // class sink's closed-form total.
+                let mut leaves = CollectKeys::default();
+                assert!(session.walk(&mut leaves));
+                assert_eq!(
+                    BigNat::from(leaves.keys.len()),
+                    expected_comps,
+                    "#Comp {at}"
+                );
+                let mut classes = ClassCount::new(&session);
+                assert!(session.walk(&mut classes));
+                assert_eq!(classes.distinct(), expected_comps, "class #Comp {at}");
+
+                // 3. A full page drain is the sorted leaf keys, with and
+                // without a summary.
+                let mut sorted: Vec<CompletionKey> = leaves.keys.iter().cloned().collect();
+                sorted.sort();
+                let size = rng.random_range(1usize..=5);
+                let cap = rng.random_range(1usize..=32);
+                assert_eq!(
+                    drain_pages(&mut session, size, None, None),
+                    sorted,
+                    "pages {at}"
+                );
+                assert_eq!(
+                    drain_pages(&mut session, size, Some(cap), None),
+                    sorted,
+                    "summary pages (cap {cap}) {at}"
+                );
+
+                // 4. Task walks over the engine's shard plan add up to the
+                // root walk, for every sink.
+                let Some(prefixes) = planner.shard_plan(session.grounding(), session.order())
+                else {
+                    continue;
+                };
+                sharded += 1;
+                let mut count = CountValuations::default();
+                let mut leaves_by_task = CollectKeys::default();
+                let mut classes_by_task = ClassCount::new(&session);
+                for prefix in &prefixes {
+                    assert!(session.walk_task(prefix, None, &mut count));
+                    assert!(session.walk_task(prefix, None, &mut leaves_by_task));
+                    assert!(session.walk_task(prefix, None, &mut classes_by_task));
+                }
+                session.rewind();
+                assert_eq!(count.into_total(), vals, "task #Val {at}");
+                assert_eq!(leaves_by_task.keys, leaves.keys, "task leaves {at}");
+                assert_eq!(
+                    classes_by_task.distinct(),
+                    expected_comps,
+                    "task classes {at}"
+                );
+                for summary_cap in [None, Some(cap)] {
+                    assert_eq!(
+                        drain_pages(&mut session, size, summary_cap, Some(&prefixes)),
+                        sorted,
+                        "task pages (summary {summary_cap:?}) {at}"
+                    );
+                    session.rewind();
+                }
+            }
+        }
+    }
+    assert!(sharded > 0, "some instance must shard");
 }

@@ -56,7 +56,7 @@ pub fn materialize_completion(rel_names: &[String], key: &CompletionKey) -> Data
 
 /// A bounded, reusable buffer of [`CompletionKey`]s in ascending canonical
 /// order — the page accumulator of the bounded selection walks
-/// (`SearchSession::select_page*` in `incdb-core`) and of the streaming
+/// (the `PageSink` walks of `incdb-core`) and of the streaming
 /// pager built on them.
 ///
 /// The heap replaces the `BTreeSet<CompletionKey>` the selection walks used

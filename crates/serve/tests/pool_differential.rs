@@ -155,7 +155,7 @@ fn pooled_sessions_are_indistinguishable_from_fresh_ones() {
                                 seen: 0,
                                 stop_after: 1 + rng.random_range(0usize..3),
                             };
-                            lease.session.visit_completions(&mut abort);
+                            lease.session.walk(&mut abort);
                             let got = lease.session.count();
                             if got != reference.count {
                                 fail(format!("post-abort count {got:?}"));

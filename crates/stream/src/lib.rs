@@ -8,9 +8,9 @@
 //! but its distinct-completion counter still holds every canonical
 //! fingerprint in one in-memory set — on large completion spaces the
 //! memory wall arrives long before the CPU wall. This crate removes that
-//! wall with two pillars, both built on the engine's leaf-visitor API
-//! ([`incdb_core::engine::BacktrackingEngine::visit_completions`], which
-//! reuses the full incremental-residual pruning stack):
+//! wall with two pillars, both sinks of the session's one search walk
+//! ([`incdb_core::session::SearchSession::walk`], which reuses the full
+//! incremental-residual pruning stack):
 //!
 //! * **Sharded distinct counting** ([`shard`]). The 64-bit fingerprint hash
 //!   space ([`incdb_data::fingerprint_hash`]) is partitioned into

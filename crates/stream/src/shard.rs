@@ -416,7 +416,7 @@ fn run_shards<Q: BooleanQuery + Sync + ?Sized>(
             passes.fetch_add(1, Ordering::Relaxed);
             ranges_walked.fetch_add(batch.len(), Ordering::Relaxed);
             let mut sink = MultiRangeSink::new(batch, budget, &class_plan);
-            let completed = session.visit_completions(&mut sink);
+            let completed = session.walk(&mut sink);
             // The walk only stops early once every range has been evicted,
             // so every live range's count is complete either way.
             debug_assert!(completed || sink.live == 0);

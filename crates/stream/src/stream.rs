@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use incdb_core::engine::{BacktrackingEngine, TaskQueue, Tautology};
-use incdb_core::session::{Mark, PageSummary, SearchSession, StealGate};
+use incdb_core::session::{Mark, PageSink, PageSummary, SearchSession, StealGate};
 use incdb_data::{
     materialize_completion, CompletionKey, DataError, Database, IncompleteDatabase, PageHeap,
 };
@@ -310,7 +310,10 @@ impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
                 let summary = self.summary.as_ref().expect("built with the session");
                 summary.refresh_worksheet(&mut self.sheet);
                 let session = self.session.as_mut().expect("session built above");
-                session.select_page_recorded(after, cap, &mut self.page, summary, &mut self.sheet);
+                session.walk(
+                    &mut PageSink::new(after, cap, &mut self.page)
+                        .recording(summary, &mut self.sheet),
+                );
                 self.summary
                     .as_mut()
                     .expect("built with the session")
@@ -357,16 +360,10 @@ impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
                                 // place — no per-refill allocation.
                                 heap.clear();
                                 summary.refresh_worksheet(sheet);
+                                let mut sink =
+                                    PageSink::new(after, cap, heap).recording(summary, sheet);
                                 while let Some(prefix) = queue.next_task() {
-                                    session.select_page_subtree_recorded(
-                                        &prefix,
-                                        Some(&gate),
-                                        after,
-                                        cap,
-                                        heap,
-                                        summary,
-                                        sheet,
-                                    );
+                                    session.walk_task(&prefix, Some(&gate), &mut sink);
                                     walks.fetch_add(1, Ordering::Relaxed);
                                     queue.finish_task();
                                 }
@@ -472,7 +469,7 @@ pub fn page_from_session<Q: BooleanQuery + ?Sized>(
     page: &mut PageHeap,
 ) -> Cursor {
     page.clear();
-    session.select_page(cursor.last_key(), page_size.max(1), page);
+    session.walk(&mut PageSink::new(cursor.last_key(), page_size, page));
     match page.last() {
         Some(key) => Cursor::after(key.clone()),
         None => cursor.clone(),

@@ -18,7 +18,7 @@
 //!   agree with a fresh engine.
 
 use incdb_core::engine::{BacktrackingEngine, CompletionVisitor, CountingEngine, Tautology};
-use incdb_core::session::SearchSession;
+use incdb_core::session::{PageSink, SearchSession};
 use incdb_data::{CompletionKey, Grounding, IncompleteDatabase, NullId, PageHeap, Value};
 use incdb_query::Bcq;
 use incdb_stream::{count_completions_budgeted, CompletionStream};
@@ -154,7 +154,7 @@ proptest! {
                     0 => {
                         // Aborted walk: the session must come back exact.
                         let mut abort = StopAfter { seen: 0, stop_after: 1 + arg % 3 };
-                        session.visit_completions(&mut abort);
+                        session.walk(&mut abort);
                     }
                     1 => {
                         prop_assert_eq!(
@@ -165,11 +165,11 @@ proptest! {
                     _ => {
                         let cap = 1 + arg;
                         let mut reused = PageHeap::new();
-                        session.select_page(None, cap, &mut reused);
+                        session.walk(&mut PageSink::new(None, cap, &mut reused));
                         let mut pristine = PageHeap::new();
                         SearchSession::new(&db, &q)
                             .unwrap()
-                            .select_page(None, cap, &mut pristine);
+                            .walk(&mut PageSink::new(None, cap, &mut pristine));
                         prop_assert_eq!(
                             reused.as_slice(), pristine.as_slice(),
                             "page drifted at step {} cap {} for {}", step, cap, q
@@ -245,7 +245,7 @@ fn one_session_serves_mixed_workloads_exactly() {
         let mut keys: Vec<CompletionKey> = Vec::new();
         loop {
             let mut page = PageHeap::new();
-            session.select_page(keys.last(), 2, &mut page);
+            session.walk(&mut PageSink::new(keys.last(), 2, &mut page));
             let got = page.len();
             keys.extend(page.drain());
             if got < 2 {

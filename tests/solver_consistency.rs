@@ -62,11 +62,8 @@ fn solver_matches_enumeration_everywhere() {
 #[test]
 fn tractable_cells_route_to_closed_forms() {
     // When the classifier says FP for the database's own setting, the solver
-    // must not fall back to backtracking search for counting valuations —
-    // except on tiny instances, where preferring the engine over the
-    // exponential-setup closed forms is a deliberate routing decision
-    // (`ENGINE_TINY_INSTANCE_VALUATIONS`).
-    use incdb::core::solver::ENGINE_TINY_INSTANCE_VALUATIONS;
+    // must not fall back to backtracking search for counting valuations, at
+    // any instance size.
     use incdb::core::Method;
     let mut rng = StdRng::seed_from_u64(5);
     for query in queries() {
@@ -85,11 +82,7 @@ fn tractable_cells_route_to_closed_forms() {
                 let setting = Setting::of(&db);
                 let complexity = classify(&query, CountingProblem::Valuations, setting).unwrap();
                 let outcome = count_valuations(&db, &query).unwrap();
-                let tiny = db
-                    .valuation_count()
-                    .to_u64()
-                    .is_some_and(|v| v <= ENGINE_TINY_INSTANCE_VALUATIONS);
-                if complexity == Complexity::Fp && !tiny {
+                if complexity == Complexity::Fp {
                     assert_ne!(
                         outcome.method,
                         Method::BacktrackingSearch,
