@@ -28,25 +28,27 @@
 //! * **Work-stealing parallel search** — subtree tasks (assignments of a
 //!   shallow search prefix) live in a shared deque ([`TaskQueue`]:
 //!   `Mutex<VecDeque>` + `Condvar`; rayon/crossbeam are unavailable offline)
-//!   drained by `std::thread::scope` workers one task at a time. When the
-//!   queue runs dry while a worker still owns a large subtree, that worker
-//!   **splits on steal**: it donates its unexplored sibling branches back to
-//!   the queue, so skewed instances (one heavy subtree) keep every core
-//!   busy. Counts are exact naturals, so worker sums are deterministic.
+//!   drained one task at a time by [`TaskQueue::run`], the workspace's one
+//!   worker pool. When the queue runs dry while a worker still owns a large
+//!   subtree, that worker **splits on steal**: it donates its unexplored
+//!   sibling branches back to the queue, so skewed instances (one heavy
+//!   subtree) keep every core busy. Counts are exact naturals, so worker
+//!   sums are deterministic.
 //! * **Completion dedup via canonical fingerprints** — distinct-completion
 //!   counting hashes a sorted, deduplicated fact list instead of comparing
 //!   whole `Database` values.
 //!
 //! Since the session refactor this module is the **policy** half of the
-//! engine: routing (shard or not, incremental or not), the tuning constants
-//! with their builder methods and `ENGINE_*` env overrides, and the
-//! [`TaskQueue`] scheduling protocol. The **mechanism** — the walks
-//! themselves, with their persistent grounding / residual-state / search
-//! -plan context — lives in [`crate::session`] as [`SearchSession`]; every
-//! engine entry point builds one session and drives it, and long-lived
-//! callers (the sharded counters and paging streams of `incdb-stream`) hold
-//! sessions of their own so consecutive walks pay a reset instead of a
-//! rebuild.
+//! engine: routing (shard or not, incremental or not), the sharding
+//! threshold and merge-join crossover with their builder methods, and the
+//! [`TaskQueue`] scheduler that every parallel loop of the workspace
+//! (engine counts, page fills, shard batches, serve batches) runs on. The
+//! **mechanism** — the walks themselves, with their persistent grounding /
+//! residual-state / search-plan context — lives in [`crate::session`] as
+//! [`SearchSession`]; every engine entry point builds one session and
+//! drives it, and long-lived callers (the sharded counters and paging
+//! streams of `incdb-stream`) hold sessions of their own so consecutive
+//! walks pay a reset instead of a rebuild.
 //!
 //! All exact consumers share this engine: `enumerate.rs` is a thin wrapper
 //! over it, the solver routes the hard cells here
@@ -55,7 +57,8 @@
 //! their hot loops.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::panic;
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread;
 
 use incdb_bignum::{BigNat, NatAccumulator};
@@ -184,20 +187,20 @@ impl CountingEngine for NaiveEngine {
 }
 
 /// The shared work-stealing scheduler: tasks in a deque guarded by a mutex
-/// and a condvar, generic over the task payload. Workers pop one task at a
-/// time, which already self-balances moderately skewed workloads; a running
-/// worker may [`donate`](TaskQueue::donate) freshly split tasks back while
-/// others are blocked in [`next_task`](TaskQueue::next_task), and the queue
-/// only releases waiting workers once every task — including donated ones —
-/// has been [`finish_task`](TaskQueue::finish_task)ed.
+/// and a condvar, generic over the task payload, drained by the worker pool
+/// of [`TaskQueue::run`]. Workers pop one task at a time, which already
+/// self-balances moderately skewed workloads; a running task may
+/// [`donate`](TaskQueue::donate) freshly split tasks back while other
+/// workers wait for work, and the pool only exits once every task —
+/// including donated ones — has finished.
 ///
-/// The engine instantiates it with prefix assignments (`Vec<Constant>`) and
-/// splits on steal (when the deque runs dry while some worker still owns a
-/// large subtree, that worker donates its unexplored sibling branches back
-/// through [`donate`](TaskQueue::donate)); the sharded distinct counter of
-/// `incdb-stream` instantiates it with fingerprint hash ranges and donates
-/// the halves of a shard whose fingerprint set overflowed its memory
-/// budget.
+/// The engine and the parallel page fill of `incdb-stream` instantiate it
+/// with prefix assignments (`Vec<Constant>`) and split on steal (when the
+/// deque runs dry while some worker still owns a large subtree, that worker
+/// donates its unexplored sibling branches back through a [`StealGate`]);
+/// the sharded distinct counter instantiates it with batches of fingerprint
+/// hash ranges and donates the ranges a walk evicted to respect its memory
+/// budget; the serving node instantiates it with requests.
 pub struct TaskQueue<T> {
     state: Mutex<QueueState<T>>,
     available: Condvar,
@@ -229,7 +232,7 @@ impl<T> TaskQueue<T> {
 
     /// Pops the next task, blocking while running workers may still donate
     /// new ones. Returns `None` once every task has finished.
-    pub fn next_task(&self) -> Option<T> {
+    pub(crate) fn next_task(&self) -> Option<T> {
         let mut s = self.state.lock().expect("engine task queue poisoned");
         loop {
             if let Some(task) = s.tasks.pop_front() {
@@ -245,9 +248,11 @@ impl<T> TaskQueue<T> {
     }
 
     /// Marks one popped task as finished, releasing waiting workers when it
-    /// was the last.
-    pub fn finish_task(&self) {
-        let mut s = self.state.lock().expect("engine task queue poisoned");
+    /// was the last. Runs from a drop guard, also while a task unwinds, so
+    /// it must not panic: no update under the lock can leave the state
+    /// half-written, and a poisoned lock is taken as is.
+    pub(crate) fn finish_task(&self) {
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         s.unfinished -= 1;
         let done = s.unfinished == 0;
         drop(s);
@@ -263,9 +268,8 @@ impl<T> TaskQueue<T> {
         s.idle > 0 && s.tasks.is_empty()
     }
 
-    /// Donates tasks to starving workers. Every donated task must
-    /// eventually be matched by a [`finish_task`](TaskQueue::finish_task)
-    /// call, exactly like the seed tasks.
+    /// Donates tasks to starving workers; [`run`](TaskQueue::run) runs
+    /// them exactly like the seed tasks.
     pub fn donate(&self, tasks: impl IntoIterator<Item = T>) {
         let mut s = self.state.lock().expect("engine task queue poisoned");
         for task in tasks {
@@ -277,15 +281,71 @@ impl<T> TaskQueue<T> {
     }
 }
 
-/// Default for [`BacktrackingEngine::with_min_split_valuations`]: subtrees
-/// smaller than this many valuations are never donated — queue round-trips
-/// would cost more than just searching them locally.
-const MIN_SPLIT_VALUATIONS: u64 = 64;
+impl<T: Send> TaskQueue<T> {
+    /// Runs every task — the seed `tasks` and every task a step
+    /// [`donate`](TaskQueue::donate)s — exactly once, on one worker per
+    /// element of `workers` (at least one when there are tasks), and
+    /// returns the worker states in their input order for the caller to
+    /// merge. `step` runs one task on the state of the worker that popped
+    /// it, and gets the queue to donate through.
+    ///
+    /// This is the one worker pool of the workspace. A pool of one worker
+    /// runs on the calling thread without spawning; larger pools run on
+    /// scoped threads. A task whose step panics still counts as finished,
+    /// so the other workers drain the queue and exit instead of waiting for
+    /// it, and the panic is passed on to the caller.
+    pub fn run<W: Send>(
+        tasks: Vec<T>,
+        mut workers: Vec<W>,
+        step: impl Fn(&mut W, T, &TaskQueue<T>) + Sync,
+    ) -> Vec<W> {
+        let queue = TaskQueue::new(tasks);
+        let drain = |worker: &mut W| {
+            while let Some(task) = queue.next_task() {
+                let _finish = FinishOnDrop(&queue);
+                step(worker, task, &queue);
+            }
+        };
+        if workers.len() < 2 {
+            workers.iter_mut().for_each(drain);
+            return workers;
+        }
+        let drain = &drain;
+        thread::scope(|scope| {
+            let handles: Vec<_> = workers
+                .into_iter()
+                .map(|mut worker| {
+                    scope.spawn(move || {
+                        drain(&mut worker);
+                        worker
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|payload| panic::resume_unwind(payload))
+                })
+                .collect()
+        })
+    }
+}
 
-/// Default for [`BacktrackingEngine::with_prefix_oversubscription`]: how
-/// many seed tasks per worker [`BacktrackingEngine::shard_plan`] aims for.
-/// Moderate oversubscription self-balances most instances; split-on-steal
-/// refines the partition at runtime, so the seed stays small.
+/// Finishes one popped task when dropped, whether its step returned or
+/// unwound.
+struct FinishOnDrop<'a, T>(&'a TaskQueue<T>);
+
+impl<T> Drop for FinishOnDrop<'_, T> {
+    fn drop(&mut self) {
+        self.0.finish_task();
+    }
+}
+
+/// How many seed tasks per worker [`BacktrackingEngine::shard_plan`] aims
+/// for. Moderate oversubscription self-balances most instances;
+/// split-on-steal refines the partition at runtime, so the seed stays
+/// small.
 const PREFIX_OVERSUBSCRIPTION: usize = 4;
 
 /// The default [`BacktrackingEngine::with_parallel_threshold`]: with
@@ -293,22 +353,15 @@ const PREFIX_OVERSUBSCRIPTION: usize = 4;
 /// below the static-sharding engine's old 4096-valuation floor.
 const DEFAULT_PARALLEL_THRESHOLD: u64 = 1024;
 
-/// Reads one scheduler tuning knob from the environment: `Some` only when
-/// the variable is present and parses.
-fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 /// The backtracking counting engine (see the module documentation).
 ///
-/// The scheduler tuning constants have builder overrides **and** env-var
-/// overrides (`ENGINE_PARALLEL_THRESHOLD`, `ENGINE_MIN_SPLIT_VALUATIONS`,
-/// `ENGINE_PREFIX_OVERSUBSCRIPTION`, `ENGINE_MERGE_JOIN_MIN_ROWS`, read at
-/// construction), so the multicore tuning loop can sweep them on a real
-/// host without a rebuild; explicit builder calls always win over the
-/// environment. None of the knobs affect any count — only how the work is
-/// cut up (or, for the merge-join crossover, which exact join algorithm
-/// runs).
+/// Two knobs have builder overrides: the sharding threshold
+/// ([`with_parallel_threshold`](BacktrackingEngine::with_parallel_threshold),
+/// also read from the `ENGINE_PARALLEL_THRESHOLD` environment variable at
+/// construction; the builder wins) and the sort-merge join crossover
+/// ([`with_merge_join_min_rows`](BacktrackingEngine::with_merge_join_min_rows)).
+/// Neither affects any count — only how the work is cut up, or which exact
+/// join algorithm runs. The other scheduling values are constants.
 #[derive(Debug, Clone)]
 pub struct BacktrackingEngine {
     /// Maximum number of worker threads for the work-stealing search.
@@ -322,11 +375,6 @@ pub struct BacktrackingEngine {
     /// residual evaluator (`false` re-runs `holds_partial` from scratch at
     /// every node, as the PR 2 engine did).
     incremental: bool,
-    /// Subtrees smaller than this many valuations are never donated to
-    /// starving workers.
-    min_split_valuations: u64,
-    /// Seed tasks per worker the shard planner aims for.
-    prefix_oversubscription: usize,
     /// Row-count crossover above which two-atom join components use the
     /// sort-merge join instead of the backtracking join.
     merge_join_min_rows: u64,
@@ -335,8 +383,8 @@ pub struct BacktrackingEngine {
 impl Default for BacktrackingEngine {
     /// Auto-detects parallelism (capped at 8 workers), shards instances
     /// with at least [`BacktrackingEngine::parallel_threshold`] (default
-    /// 1024) valuations, and evaluates incrementally. Tuning env overrides
-    /// apply.
+    /// 1024) valuations, and evaluates incrementally.
+    /// `ENGINE_PARALLEL_THRESHOLD` applies.
     fn default() -> Self {
         let threads = thread::available_parallelism()
             .map_or(1, usize::from)
@@ -352,32 +400,22 @@ impl BacktrackingEngine {
     /// sequential walk, so `ENGINE_PARALLEL_THRESHOLD` does not apply.
     pub fn sequential() -> Self {
         BacktrackingEngine {
-            threads: 1,
             parallel_threshold: u64::MAX,
-            incremental: true,
-            min_split_valuations: env_knob("ENGINE_MIN_SPLIT_VALUATIONS")
-                .unwrap_or(MIN_SPLIT_VALUATIONS),
-            prefix_oversubscription: env_knob("ENGINE_PREFIX_OVERSUBSCRIPTION")
-                .unwrap_or(PREFIX_OVERSUBSCRIPTION),
-            merge_join_min_rows: env_knob("ENGINE_MERGE_JOIN_MIN_ROWS")
-                .unwrap_or(DEFAULT_MERGE_JOIN_MIN_ROWS),
+            ..Self::with_threads(1)
         }
     }
 
     /// An engine spreading the search over up to `threads` work-stealing
-    /// workers. Tuning env overrides apply.
+    /// workers. `ENGINE_PARALLEL_THRESHOLD` applies.
     pub fn with_threads(threads: usize) -> Self {
+        let env_threshold = std::env::var("ENGINE_PARALLEL_THRESHOLD").ok();
         BacktrackingEngine {
             threads: threads.max(1),
-            parallel_threshold: env_knob("ENGINE_PARALLEL_THRESHOLD")
+            parallel_threshold: env_threshold
+                .and_then(|v| v.trim().parse().ok())
                 .unwrap_or(DEFAULT_PARALLEL_THRESHOLD),
             incremental: true,
-            min_split_valuations: env_knob("ENGINE_MIN_SPLIT_VALUATIONS")
-                .unwrap_or(MIN_SPLIT_VALUATIONS),
-            prefix_oversubscription: env_knob("ENGINE_PREFIX_OVERSUBSCRIPTION")
-                .unwrap_or(PREFIX_OVERSUBSCRIPTION),
-            merge_join_min_rows: env_knob("ENGINE_MERGE_JOIN_MIN_ROWS")
-                .unwrap_or(DEFAULT_MERGE_JOIN_MIN_ROWS),
+            merge_join_min_rows: DEFAULT_MERGE_JOIN_MIN_ROWS,
         }
     }
 
@@ -397,44 +435,13 @@ impl BacktrackingEngine {
         self
     }
 
-    /// Overrides the minimum donated-subtree size, in valuations: a busy
-    /// worker only splits off sibling branches whose subtree holds at least
-    /// this many valuations, because queue round-trips cost more than just
-    /// searching a tiny subtree locally. Defaults to 64; env override
-    /// `ENGINE_MIN_SPLIT_VALUATIONS`.
-    pub fn with_min_split_valuations(mut self, valuations: u64) -> Self {
-        self.min_split_valuations = valuations;
-        self
-    }
-
-    /// Overrides how many seed tasks per worker the shard planner aims for
-    /// (at least 1). More oversubscription self-balances skewed instances
-    /// at the price of task overhead; split-on-steal refines at runtime
-    /// either way. Defaults to 4; env override
-    /// `ENGINE_PREFIX_OVERSUBSCRIPTION`.
-    pub fn with_prefix_oversubscription(mut self, tasks_per_worker: usize) -> Self {
-        self.prefix_oversubscription = tasks_per_worker.max(1);
-        self
-    }
-
-    /// The configured minimum donated-subtree size, in valuations.
-    pub fn min_split_valuations(&self) -> u64 {
-        self.min_split_valuations
-    }
-
-    /// The configured seed tasks per worker.
-    pub fn prefix_oversubscription(&self) -> usize {
-        self.prefix_oversubscription
-    }
-
     /// Overrides the sort-merge join crossover: a two-atom join component
     /// whose larger eligible side holds at least this many candidate rows
     /// is joined by merging sorted key columns instead of the backtracking
     /// nested-loop walk. The routing never changes a count — both joins
     /// decide the same predicate. `0` forces the merge path, `u64::MAX`
     /// disables it. Defaults to
-    /// [`incdb_query::DEFAULT_MERGE_JOIN_MIN_ROWS`]; env override
-    /// `ENGINE_MERGE_JOIN_MIN_ROWS`.
+    /// [`incdb_query::DEFAULT_MERGE_JOIN_MIN_ROWS`].
     pub fn with_merge_join_min_rows(mut self, rows: u64) -> Self {
         self.merge_join_min_rows = rows;
         self
@@ -476,8 +483,7 @@ impl BacktrackingEngine {
 
     /// Decides whether this instance is worth sharding and, if so, seeds
     /// the task queue: the assignments of the shallowest search prefix wide
-    /// enough for a few tasks per worker
-    /// ([`prefix_oversubscription`](BacktrackingEngine::prefix_oversubscription)).
+    /// enough for a few tasks per worker.
     /// Sharding over prefix *assignments* rather than the first null's
     /// domain keeps full parallel width even when the pruning-optimal order
     /// puts a tiny domain first; split-on-steal refines the partition at
@@ -501,7 +507,7 @@ impl BacktrackingEngine {
         if valuations < self.parallel_threshold {
             return None;
         }
-        let target = self.threads.saturating_mul(self.prefix_oversubscription);
+        let target = self.threads.saturating_mul(PREFIX_OVERSUBSCRIPTION);
         let mut depth = 0;
         let mut width: usize = 1;
         while depth < order.len() && width < target {
@@ -567,48 +573,30 @@ impl BacktrackingEngine {
     }
 
     /// Runs one task walk per task of the work-stealing queue across up to
-    /// [`threads`](BacktrackingEngine::threads) scoped workers, each on its
-    /// own [`fork`](SearchSession::fork) of the primary session with its
-    /// own sink of type `S`, and returns the per-worker sinks for the
-    /// caller to merge. Forking clones the grounding and the compiled
-    /// residual state — the expensive query compilation happens exactly
-    /// once, on the primary.
-    fn run_stealing<'q, Q, S>(
+    /// [`threads`](BacktrackingEngine::threads) workers, each on its own
+    /// [`fork`](SearchSession::fork) of the primary session with its own
+    /// sink of type `S`, and returns the per-worker sinks for the caller to
+    /// merge. Forking clones the grounding and the compiled residual state
+    /// — the expensive query compilation happens exactly once, on the
+    /// primary.
+    fn run_stealing<Q, S>(
         &self,
-        primary: &SearchSession<'q, Q>,
+        primary: &SearchSession<'_, Q>,
         prefixes: Vec<Vec<Constant>>,
     ) -> Vec<S>
     where
         Q: BooleanQuery + Sync + ?Sized,
         S: CompletionVisitor + Default + Send,
     {
-        let queue = TaskQueue::new(prefixes);
-        let forks: Vec<SearchSession<'q, Q>> = (0..self.threads).map(|_| primary.fork()).collect();
-        thread::scope(|scope| {
-            let handles: Vec<_> = forks
-                .into_iter()
-                .map(|mut session| {
-                    let queue = &queue;
-                    let min_split_valuations = self.min_split_valuations;
-                    scope.spawn(move || {
-                        let gate = StealGate {
-                            queue,
-                            min_split_valuations,
-                        };
-                        let mut sink = S::default();
-                        while let Some(prefix) = queue.next_task() {
-                            session.walk_task(&prefix, Some(&gate), &mut sink);
-                            queue.finish_task();
-                        }
-                        sink
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("engine worker panicked"))
-                .collect()
-        })
+        let workers = (0..self.threads).map(|_| (primary.fork(), S::default()));
+        let done = TaskQueue::run(
+            prefixes,
+            workers.collect(),
+            |(session, sink), prefix, queue| {
+                session.walk_task(&prefix, Some(&StealGate::new(queue)), sink);
+            },
+        );
+        done.into_iter().map(|(_, sink)| sink).collect()
     }
 }
 
@@ -707,48 +695,27 @@ mod tests {
 
     #[test]
     fn tuning_builders_and_env_overrides() {
-        // Builders override the compiled defaults.
+        // The two builders override the compiled defaults.
         let tuned = BacktrackingEngine::with_threads(2)
-            .with_min_split_valuations(7)
-            .with_prefix_oversubscription(9)
             .with_parallel_threshold(11)
             .with_merge_join_min_rows(13);
-        assert_eq!(tuned.min_split_valuations(), 7);
-        assert_eq!(tuned.prefix_oversubscription(), 9);
         assert_eq!(tuned.parallel_threshold(), 11);
         assert_eq!(tuned.merge_join_min_rows(), 13);
         assert_eq!(
             BacktrackingEngine::sequential().merge_join_min_rows(),
             incdb_query::DEFAULT_MERGE_JOIN_MIN_ROWS
         );
-        // Oversubscription is clamped to at least one task per worker.
-        assert_eq!(
-            BacktrackingEngine::default()
-                .with_prefix_oversubscription(0)
-                .prefix_oversubscription(),
-            1
-        );
 
-        // Env knobs reach freshly constructed engines (the no-rebuild
-        // tuning loop of the ROADMAP); none of them changes any count.
-        // Process-global env is visible to concurrently running tests, but
-        // the knobs only steer scheduling (donation sizes, task widths),
-        // never results, and every test that asserts *on* scheduling pins
-        // its thresholds through the builders — so the brief window below
-        // cannot flip another test's assertion.
-        std::env::set_var("ENGINE_MIN_SPLIT_VALUATIONS", "128");
-        std::env::set_var("ENGINE_PREFIX_OVERSUBSCRIPTION", "2");
+        // `ENGINE_PARALLEL_THRESHOLD`, the one environment knob, reaches
+        // freshly constructed engines and changes no count. Process-global
+        // env is visible to concurrently running tests, but the threshold
+        // only steers scheduling, never results, and every test that
+        // asserts *on* scheduling pins it through the builder — so the
+        // brief window below cannot flip another test's assertion.
         std::env::set_var("ENGINE_PARALLEL_THRESHOLD", "3");
-        std::env::set_var("ENGINE_MERGE_JOIN_MIN_ROWS", "5");
         let from_env = BacktrackingEngine::with_threads(2);
-        std::env::remove_var("ENGINE_MIN_SPLIT_VALUATIONS");
-        std::env::remove_var("ENGINE_PREFIX_OVERSUBSCRIPTION");
         std::env::remove_var("ENGINE_PARALLEL_THRESHOLD");
-        std::env::remove_var("ENGINE_MERGE_JOIN_MIN_ROWS");
-        assert_eq!(from_env.min_split_valuations(), 128);
-        assert_eq!(from_env.prefix_oversubscription(), 2);
         assert_eq!(from_env.parallel_threshold(), 3);
-        assert_eq!(from_env.merge_join_min_rows(), 5);
         let db = example_2_2();
         let q: Bcq = "S(x,x)".parse().unwrap();
         assert_eq!(
@@ -761,6 +728,32 @@ mod tests {
         let seq = BacktrackingEngine::sequential();
         std::env::remove_var("ENGINE_PARALLEL_THRESHOLD");
         assert_eq!(seq.parallel_threshold(), u64::MAX);
+    }
+
+    #[test]
+    fn task_queue_run_drives_every_task_once_and_returns_the_workers() {
+        // Seeds 0..8; every seed below 4 donates `seed + 100` once the
+        // pool is running, so the donated tasks arrive mid-run.
+        for workers in [1, 3] {
+            let states: Vec<Vec<u32>> = vec![Vec::new(); workers];
+            let done = TaskQueue::run((0..8).collect(), states, |seen, task, queue| {
+                if task < 4 {
+                    queue.donate([task + 100]);
+                }
+                seen.push(task);
+            });
+            assert_eq!(done.len(), workers, "every worker state comes back");
+            let mut ran: Vec<u32> = done.into_iter().flatten().collect();
+            ran.sort_unstable();
+            let expected: Vec<u32> = (0..8).chain(100..104).collect();
+            assert_eq!(ran, expected, "each seed and donated task ran once");
+        }
+        // A one-worker pool runs on the calling thread.
+        let caller = thread::current().id();
+        let solo = TaskQueue::run(vec![(); 3], vec![Vec::new()], |ids, (), _| {
+            ids.push(thread::current().id());
+        });
+        assert_eq!(solo, [vec![caller; 3]]);
     }
 
     #[test]

@@ -666,8 +666,8 @@ impl SessionPlan {
 ///
 /// Sessions are pure mechanism — they donate unexplored sibling branches
 /// through the gate whenever another worker starves, but the queue and the
-/// threshold are chosen by the caller (the engine's
-/// `min_split_valuations`, or whatever a custom scheduler prefers).
+/// threshold are chosen by the caller: [`StealGate::new`] sets the
+/// workspace's one threshold, and tests set their own.
 pub struct StealGate<'a> {
     /// The queue starving workers pop from; donated prefixes must follow
     /// the same order as the session's [`SearchSession::order`].
@@ -675,6 +675,22 @@ pub struct StealGate<'a> {
     /// Subtrees with fewer valuations than this are never donated: queue
     /// round-trips would cost more than just searching them locally.
     pub min_split_valuations: u64,
+}
+
+/// The donation floor of [`StealGate::new`]: subtrees smaller than this
+/// many valuations are never donated — queue round-trips would cost more
+/// than just searching them locally.
+const MIN_SPLIT_VALUATIONS: u64 = 64;
+
+impl<'a> StealGate<'a> {
+    /// A gate over `queue` that never donates a subtree of fewer than 64
+    /// valuations.
+    pub fn new(queue: &'a TaskQueue<Vec<Constant>>) -> Self {
+        StealGate {
+            queue,
+            min_split_valuations: MIN_SPLIT_VALUATIONS,
+        }
+    }
 }
 
 /// A persistent walk context over one incomplete database and one query:
@@ -759,9 +775,9 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
     }
 
     /// Forwards the sort-merge join crossover to the residual state (see
-    /// `BacktrackingEngine::with_merge_join_min_rows`). A no-op for
-    /// non-incremental sessions and for evaluators without a merge path;
-    /// forks inherit the setting through the state clone.
+    /// [`BacktrackingEngine::with_merge_join_min_rows`](crate::engine::BacktrackingEngine::with_merge_join_min_rows)).
+    /// A no-op for non-incremental sessions and for evaluators without a
+    /// merge path; forks inherit the setting through the state clone.
     pub fn set_merge_join_min_rows(&mut self, rows: u64) {
         if let Some(state) = &mut self.state {
             state.set_merge_join_min_rows(rows);

@@ -5,7 +5,12 @@
 //! *and* completions, sequentially *and* sharded, for BCQs, unions and
 //! negations.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 use incdb_bignum::BigNat;
 use incdb_core::engine::{BacktrackingEngine, CountingEngine, NaiveEngine};
@@ -14,8 +19,8 @@ use incdb_core::session::{
     ClassAction, CollectKeys, CompletionVisitor, CountValuations, PageSink, PageSummary,
     SearchSession,
 };
-use incdb_data::{CompletionKey, Constant, Grounding, IncompleteDatabase, PageHeap};
-use incdb_query::{Bcq, NegatedBcq, Ucq};
+use incdb_data::{CompletionKey, Constant, Database, Grounding, IncompleteDatabase, PageHeap};
+use incdb_query::{Bcq, BooleanQuery, NegatedBcq, Ucq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -209,6 +214,73 @@ fn work_stealing_matches_sequential_on_skewed_instances() {
                 "completions cycle={cycle} threads={threads}"
             );
         }
+    }
+}
+
+/// Cleared to arm [`PanicsOnce`]; set by the one `holds` call that panics.
+static PANICKED: AtomicBool = AtomicBool::new(false);
+
+/// Holds in every database, except that the first `holds` call after arming
+/// panics. It has no residual evaluation, so every walk reaches `holds`.
+struct PanicsOnce;
+
+impl BooleanQuery for PanicsOnce {
+    fn holds(&self, _db: &Database) -> bool {
+        assert!(
+            PANICKED.swap(true, Ordering::SeqCst),
+            "the armed holds call"
+        );
+        true
+    }
+
+    fn signature(&self) -> BTreeSet<String> {
+        BTreeSet::from(["R".to_string()])
+    }
+}
+
+#[test]
+fn a_panicking_task_reaches_the_caller_on_every_parallel_path() {
+    // A worker whose task unwinds must still finish it: otherwise the other
+    // workers wait for that task forever and the call never returns. Each
+    // call runs on its own thread so a hang fails the test after a bounded
+    // wait instead of hanging it.
+    use incdb_data::Value;
+    let mut db = IncompleteDatabase::new_uniform([0u64, 1, 2]);
+    for i in 0..4 {
+        db.add_fact("R", vec![Value::null(i)]).unwrap();
+    }
+    fn engine() -> BacktrackingEngine {
+        BacktrackingEngine::with_threads(2).with_parallel_threshold(1)
+    }
+    type Call = fn(&IncompleteDatabase);
+    let paths: [(&str, Call); 3] = [
+        ("engine", |db| {
+            let _ = engine().count_valuations(db, &PanicsOnce);
+        }),
+        ("page fill", |db| {
+            let stream = incdb_stream::CompletionStream::new(db, &PanicsOnce, 4).unwrap();
+            let _ = stream.with_engine(engine()).count();
+        }),
+        ("shards", |db| {
+            let _ = incdb_stream::count_completions_sharded(db, &PanicsOnce, 4, 2);
+        }),
+    ];
+    for (path, call) in paths {
+        PANICKED.store(false, Ordering::SeqCst);
+        let (tx, rx) = mpsc::channel();
+        let db = db.clone();
+        let caller = thread::spawn(move || {
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| call(&db)));
+            tx.send(outcome.is_err()).unwrap();
+        });
+        // On a timeout the caller thread is left behind: it can never end.
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| {
+                panic!("{path}: no result after 30 s, a worker waits on the unwound task")
+            });
+        caller.join().unwrap();
+        assert!(panicked, "{path}: the panic reaches the caller");
     }
 }
 

@@ -146,8 +146,7 @@ pub trait ResidualState: Send + Sync {
 /// is presorted in the arena) instead of the backtracking nested-loop walk
 /// (`O(n·m)`). Small components stay on the backtracking join, whose
 /// constant factor is lower. Tunable per engine via
-/// `BacktrackingEngine::with_merge_join_min_rows` and the
-/// `ENGINE_MERGE_JOIN_MIN_ROWS` environment knob.
+/// `BacktrackingEngine::with_merge_join_min_rows`.
 pub const DEFAULT_MERGE_JOIN_MIN_ROWS: u64 = 1024;
 
 /// How one fact currently relates to one watching query atom. `repr(u8)`

@@ -18,12 +18,12 @@
 //! `O(budget)` resident fingerprints, the serving-layer face of the
 //! streaming subsystem's memory-vs-passes trade-off.
 
-use std::collections::VecDeque;
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 use std::thread;
 use std::time::Instant;
 
 use incdb_bignum::BigNat;
+use incdb_core::engine::{BacktrackingEngine, TaskQueue};
 use incdb_data::{CompletionKey, IncompleteDatabase, PageHeap, Value};
 use incdb_query::BooleanQuery;
 use incdb_stream::stream::page_from_session;
@@ -193,10 +193,7 @@ impl<'q, Q: BooleanQuery + Sync + ?Sized> ServeNode<'q, Q> {
             db: RwLock::new(db),
             queries,
             tenants,
-            pool: SessionPool::with_policy(
-                incdb_core::engine::BacktrackingEngine::sequential(),
-                policy,
-            ),
+            pool: SessionPool::with_policy(BacktrackingEngine::sequential(), policy),
         }
     }
 
@@ -222,37 +219,27 @@ impl<'q, Q: BooleanQuery + Sync + ?Sized> ServeNode<'q, Q> {
         self.serve_with_workers(requests, workers)
     }
 
-    /// Serves a batch of requests on `workers` threads pulling from a
+    /// Serves a batch of requests on up to `workers` workers pulling from a
     /// shared queue, returning one reply per request (sorted by request
     /// index). Requests run concurrently; each individual reply is
     /// computed against the database revision current when its worker
-    /// picked it up.
+    /// picked it up. The pool never has more workers than requests, and a
+    /// pool of one serves on the calling thread.
     pub fn serve_with_workers(&self, requests: Vec<Request>, workers: usize) -> Vec<Reply> {
-        let total = requests.len();
         let enqueued = Instant::now();
-        let queue: Mutex<VecDeque<(usize, Request)>> =
-            Mutex::new(requests.into_iter().enumerate().collect());
-        let replies: Mutex<Vec<Reply>> = Mutex::new(Vec::with_capacity(total));
-        thread::scope(|scope| {
-            for _ in 0..workers.max(1) {
-                scope.spawn(|| {
-                    // One page heap per worker, reused across every request
-                    // it serves — the same allocation-recycling discipline
-                    // the stream's fill scratch uses.
-                    let mut heap = PageHeap::new();
-                    loop {
-                        let job = queue.lock().expect("queue lock poisoned").pop_front();
-                        let Some((idx, request)) = job else {
-                            break;
-                        };
-                        let queue_wait_ns = enqueued.elapsed().as_nanos() as u64;
-                        let reply = self.handle(idx, request, queue_wait_ns, &mut heap);
-                        replies.lock().expect("reply lock poisoned").push(reply);
-                    }
-                });
-            }
+        // One page heap per worker, reused across every request it serves —
+        // the same allocation-recycling discipline the stream's fill
+        // scratch uses — and the worker's replies.
+        let workers = workers.min(requests.len()).max(1);
+        let workers = (0..workers)
+            .map(|_| (PageHeap::new(), Vec::new()))
+            .collect();
+        let tasks = requests.into_iter().enumerate().collect();
+        let done = TaskQueue::run(tasks, workers, |(heap, replies), (idx, request), _| {
+            let queue_wait_ns = enqueued.elapsed().as_nanos() as u64;
+            replies.push(self.handle(idx, request, queue_wait_ns, heap));
         });
-        let mut out = replies.into_inner().expect("reply lock poisoned");
+        let mut out: Vec<Reply> = done.into_iter().flat_map(|(_, replies)| replies).collect();
         out.sort_by_key(|reply| reply.request);
         out
     }
@@ -410,5 +397,41 @@ impl<'q, Q: BooleanQuery + Sync + ?Sized> ServeNode<'q, Q> {
         let outcome = body(tenant, &mut lease, checkout_ns);
         self.pool.check_in(lease);
         outcome
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use incdb_query::Bcq;
+
+    #[test]
+    fn more_workers_than_requests_still_reply_in_request_order() {
+        let mut db = IncompleteDatabase::new_uniform([0u64, 1]);
+        db.add_fact("R", vec![Value::null(0)]).unwrap();
+        let q: Bcq = "R(x)".parse().unwrap();
+        let node = ServeNode::new(db, vec![&q], vec![Tenant::new("t", 4)]);
+        let requests = vec![
+            Request::Count {
+                tenant: 0,
+                query: 0,
+            },
+            Request::Page {
+                tenant: 0,
+                query: 0,
+                page_size: 1,
+            },
+            Request::Count {
+                tenant: 9,
+                query: 0,
+            },
+        ];
+        let replies = node.serve_with_workers(requests, 8);
+        let order: Vec<usize> = replies.iter().map(|reply| reply.request).collect();
+        assert_eq!(order, [0, 1, 2]);
+        assert_eq!(replies[0].outcome, Outcome::Count(BigNat::from(2u64)));
+        assert!(matches!(replies[1].outcome, Outcome::Page { .. }));
+        assert!(matches!(replies[2].outcome, Outcome::Error(_)));
+        assert!(node.serve_with_workers(Vec::new(), 8).is_empty());
     }
 }

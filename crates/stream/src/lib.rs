@@ -20,8 +20,8 @@
 //!   passes at `≈ 1/K` memory; the budgeted driver
 //!   ([`count_completions_budgeted`]) starts unsharded and adaptively
 //!   splits exactly the hash ranges that overflow the budget, with shards
-//!   scheduled on the engine's work-stealing
-//!   [`TaskQueue`](incdb_core::engine::TaskQueue). Each worker drives all
+//!   scheduled on the engine's worker pool
+//!   ([`TaskQueue::run`](incdb_core::engine::TaskQueue::run)). Each worker drives all
 //!   its walks on **one persistent
 //!   [`SearchSession`](incdb_core::session::SearchSession)** — consecutive
 //!   ranges cost a rewind, not a grounding rebuild plus a residual-state

@@ -48,10 +48,10 @@
 //!   deferred ranges are re-queued **as one sorted batch**, so follow-up
 //!   walks stay multi-range and the eviction machinery keeps paying off.
 //!
-//! Batches are scheduled on the engine's work-stealing [`TaskQueue`]:
-//! workers pop batches, and deferred ranges are donated back to the queue,
-//! so idle workers immediately pick up the refined remainder of a dense
-//! region.
+//! Batches run on the engine's worker pool ([`TaskQueue::run`]): workers
+//! pop batches, and deferred ranges are donated back to the queue, so idle
+//! workers immediately pick up the refined remainder of a dense region.
+//! Each worker tallies its own counters, summed when the pool returns.
 //!
 //! Consecutive walks of one worker run on a persistent [`SearchSession`]:
 //! the grounding, the compiled residual state and the DFS order are built
@@ -61,8 +61,6 @@
 //! happening.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 
 use incdb_bignum::{BigNat, NatAccumulator};
 use incdb_core::engine::{CompletionVisitor, TaskQueue};
@@ -72,7 +70,7 @@ use incdb_query::BooleanQuery;
 
 /// The result of a sharded distinct-completion count, with the memory and
 /// pass accounting that the memory-vs-passes trade-off is judged by.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardedCount {
     /// The number of distinct completions satisfying the query — always
     /// equal to what the unsharded engine would return.
@@ -378,90 +376,62 @@ fn run_shards<Q: BooleanQuery + Sync + ?Sized>(
 ) -> Result<ShardedCount, DataError> {
     // The one-time setup for the whole call: building the template session
     // both validates the instance (missing-domain errors surface here, so
-    // worker walks cannot fail and the queue protocol — every popped task
-    // is finished — stays trivially correct) and compiles the query's
-    // residual state and separability plan exactly once. Workers fork the
-    // template (cloning the compiled state, never re-deriving it) the
-    // first time they pop a batch.
+    // worker walks cannot fail) and compiles the query's residual state and
+    // separability plan exactly once. Workers fork the template (cloning the
+    // compiled state, never re-deriving it) the first time they pop a batch.
     let template = SearchSession::new(db, q)?;
     // One sort of the ground class facts for the whole call; fact indices
     // are template-level, so every forked worker session shares the plan.
     let class_plan = template
         .grounding()
         .partial_key_plan(template.class_facts());
-    let queue = TaskQueue::new(initial);
-    let passes = AtomicUsize::new(0);
-    let peak = AtomicUsize::new(0);
-    let counted = AtomicUsize::new(0);
-    let ranges_walked = AtomicUsize::new(0);
-    let evictions = AtomicUsize::new(0);
-    let sessions_built = AtomicUsize::new(0);
-    let walks_reused = AtomicUsize::new(0);
-    let threads = threads.max(1);
-
-    let worker = || {
-        let mut acc = NatAccumulator::new();
-        // The worker's persistent walk context: forked off the template on
-        // its first batch, rewound — not rebuilt — for every batch after
-        // it. Workers that never pop a task never pay the fork.
-        let mut session: Option<SearchSession<'_, Q>> = None;
-        while let Some(batch) = queue.next_task() {
-            if session.is_none() {
-                sessions_built.fetch_add(1, Ordering::Relaxed);
-                session = Some(template.fork());
-            } else {
-                walks_reused.fetch_add(1, Ordering::Relaxed);
-            }
-            let session = session.as_mut().expect("session built above");
-            passes.fetch_add(1, Ordering::Relaxed);
-            ranges_walked.fetch_add(batch.len(), Ordering::Relaxed);
-            let mut sink = MultiRangeSink::new(batch, budget, &class_plan);
-            let completed = session.walk(&mut sink);
-            // The walk only stops early once every range has been evicted,
-            // so every live range's count is complete either way.
-            debug_assert!(completed || sink.live == 0);
-            peak.fetch_max(sink.peak, Ordering::Relaxed);
-            evictions.fetch_add(sink.evictions, Ordering::Relaxed);
-            for r in sink.ranges {
-                if !r.evicted {
-                    acc.add_big(&r.acc.into_total());
-                    counted.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if !sink.deferred.is_empty() {
-                // One sorted batch, not one task per range: follow-up
-                // walks stay multi-range, so a dense region is re-counted
-                // with single-walk amortisation too.
-                sink.deferred.sort_unstable_by_key(|r| r.start);
-                queue.donate([sink.deferred]);
-            }
-            queue.finish_task();
+    // Each worker: its persistent walk context — forked on its first batch,
+    // rewound, not rebuilt, for every batch after it, never paid by a
+    // worker that pops nothing — and its own tally.
+    let workers = (0..threads.max(1)).map(|_| (None, ShardedCount::default()));
+    let done = TaskQueue::run(initial, workers.collect(), |worker, batch, queue| {
+        let (session, tally) = worker;
+        if session.is_some() {
+            tally.walks_reused += 1;
+        } else {
+            tally.sessions_built += 1;
         }
-        acc
-    };
-
-    let totals: Vec<NatAccumulator> = if threads == 1 {
-        vec![worker()]
-    } else {
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
-    };
-
-    Ok(ShardedCount {
-        count: totals.into_iter().map(NatAccumulator::into_total).sum(),
-        peak_resident_fingerprints: peak.load(Ordering::Relaxed),
-        passes: passes.load(Ordering::Relaxed),
-        counted_shards: counted.load(Ordering::Relaxed),
-        ranges_walked: ranges_walked.load(Ordering::Relaxed),
-        evictions: evictions.load(Ordering::Relaxed),
-        sessions_built: sessions_built.load(Ordering::Relaxed),
-        walks_reused: walks_reused.load(Ordering::Relaxed),
-    })
+        let session = session.get_or_insert_with(|| template.fork());
+        tally.passes += 1;
+        tally.ranges_walked += batch.len();
+        let mut sink = MultiRangeSink::new(batch, budget, &class_plan);
+        let completed = session.walk(&mut sink);
+        // The walk only stops early once every range has been evicted, so
+        // every live range's count is complete either way.
+        debug_assert!(completed || sink.live == 0);
+        tally.peak_resident_fingerprints = tally.peak_resident_fingerprints.max(sink.peak);
+        tally.evictions += sink.evictions;
+        for r in sink.ranges.into_iter().filter(|r| !r.evicted) {
+            tally.count += r.acc.into_total();
+            tally.counted_shards += 1;
+        }
+        if !sink.deferred.is_empty() {
+            // One sorted batch, not one task per range: follow-up walks stay
+            // multi-range, so a dense region is re-counted with single-walk
+            // amortisation too.
+            sink.deferred.sort_unstable_by_key(|r| r.start);
+            queue.donate([sink.deferred]);
+        }
+    });
+    let mut total = ShardedCount::default();
+    for (_, tally) in done {
+        total.count += tally.count;
+        total.peak_resident_fingerprints = total
+            .peak_resident_fingerprints
+            .max(tally.peak_resident_fingerprints);
+        total.passes += tally.passes;
+        total.counted_shards += tally.counted_shards;
+        total.ranges_walked += tally.ranges_walked;
+        total.evictions += tally.evictions;
+        total.sessions_built += tally.sessions_built;
+        total.walks_reused += tally.walks_reused;
+    }
+    Ok(total)
 }
 
 #[cfg(test)]

@@ -33,13 +33,13 @@
 //!   by [`CompletionStream::peak_resident`].
 //! * **Parallel page fills.** With [`CompletionStream::with_engine`] (or
 //!   the [`with_threads`](CompletionStream::with_threads) shorthand) the
-//!   selection walk is sharded over the engine's work-stealing
-//!   [`TaskQueue`]: each worker runs the bounded selection on its own
-//!   forked session over donated subtree prefixes, and the per-worker
-//!   bounded heaps merge into the page — same page, deterministically,
-//!   at multicore latency. [`CompletionStream::fill_walks`] accounts the
-//!   per-worker walks the way [`passes`](CompletionStream::passes) counts
-//!   page fills.
+//!   selection walk is sharded over the engine's worker pool
+//!   ([`TaskQueue::run`]): each worker runs the bounded selection on its
+//!   own forked session over seeded and donated subtree prefixes, and the
+//!   per-worker bounded heaps merge into the page — same page,
+//!   deterministically, at multicore latency. Each worker counts its own
+//!   task walks, summed into [`CompletionStream::fill_walks`] the way
+//!   [`passes`](CompletionStream::passes) counts page fills.
 //!
 //! Because a page is determined by `(database, query, cursor, page size)`
 //! alone — worker scheduling cannot change its contents — the enumeration
@@ -50,8 +50,6 @@
 //! an exponential virtual result set.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 
 use incdb_core::engine::{BacktrackingEngine, TaskQueue, Tautology};
 use incdb_core::session::{Mark, PageSink, PageSummary, SearchSession, StealGate};
@@ -340,41 +338,25 @@ impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
                     self.worker_scratch.push((PageHeap::new(), Vec::new()));
                 }
                 let summary = self.summary.as_ref().expect("built with the session");
-                let queue = TaskQueue::new(prefixes);
-                let walks = AtomicUsize::new(0);
-                let min_split_valuations = self.engine.min_split_valuations();
-                thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .workers
-                        .iter_mut()
-                        .zip(self.worker_scratch.iter_mut())
-                        .map(|(session, (heap, sheet))| {
-                            let (queue, walks) = (&queue, &walks);
-                            scope.spawn(move || {
-                                let gate = StealGate {
-                                    queue,
-                                    min_split_valuations,
-                                };
-                                // Persistent scratch: retire last page's keys
-                                // into the spare list, blank the worksheet in
-                                // place — no per-refill allocation.
-                                heap.clear();
-                                summary.refresh_worksheet(sheet);
-                                let mut sink =
-                                    PageSink::new(after, cap, heap).recording(summary, sheet);
-                                while let Some(prefix) = queue.next_task() {
-                                    session.walk_task(&prefix, Some(&gate), &mut sink);
-                                    walks.fetch_add(1, Ordering::Relaxed);
-                                    queue.finish_task();
-                                }
-                            })
-                        })
-                        .collect();
-                    for handle in handles {
-                        handle.join().expect("page-fill worker panicked");
-                    }
+                let workers = self.workers.iter_mut().zip(&mut self.worker_scratch);
+                let workers = workers.map(|(session, (heap, sheet))| {
+                    // Persistent scratch: retire last page's keys into the
+                    // spare list, blank the worksheet in place — no
+                    // per-refill allocation.
+                    heap.clear();
+                    summary.refresh_worksheet(sheet);
+                    (
+                        session,
+                        PageSink::new(after, cap, heap).recording(summary, sheet),
+                        0,
+                    )
                 });
-                self.fill_walks += walks.load(Ordering::Relaxed);
+                let done = TaskQueue::run(prefixes, workers.collect(), |worker, prefix, queue| {
+                    let (session, sink, walks) = worker;
+                    session.walk_task(&prefix, Some(&StealGate::new(queue)), sink);
+                    *walks += 1;
+                });
+                self.fill_walks += done.into_iter().map(|(_, _, walks)| walks).sum::<usize>();
                 // Merge the bounded worker heaps through the same admission
                 // protocol the walks use: order-independent, deduplicating,
                 // and never more than `cap` keys resident in the page.
