@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use rand::Rng;
 
 use incdb_core::engine::holds_under_current;
-use incdb_data::{Constant, Database, IncompleteDatabase};
+use incdb_data::{CompletionKey, Database, IncompleteDatabase};
 use incdb_query::BooleanQuery;
 
 use crate::fpras::ApproxError;
@@ -54,13 +54,15 @@ pub fn completion_estimator<Q: BooleanQuery + ?Sized, R: Rng + ?Sized>(
         });
     }
     let samples = samples.max(1);
-    // Completions are identified by their canonical fingerprints, so the
+    // Completions are identified by their canonical keys, so the
     // sampling loop never materialises a `Database` for dedup purposes.
-    let mut seen: BTreeMap<Vec<(usize, Vec<Constant>)>, usize> = BTreeMap::new();
+    let mut seen: BTreeMap<CompletionKey, usize> = BTreeMap::new();
     for _ in 0..samples {
         sample_into_grounding(&mut g, rng);
         if holds_under_current(&g, q, &mut scratch)? {
-            *seen.entry(g.completion_fingerprint()?).or_insert(0) += 1;
+            let mut key = CompletionKey::new();
+            g.key_into(g.full_key_plan(), &mut key)?;
+            *seen.entry(key).or_insert(0) += 1;
         }
     }
     let distinct = seen.len();

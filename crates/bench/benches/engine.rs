@@ -689,9 +689,9 @@ fn write_json_report(fast: bool) {
         }
         impl CompletionVisitor for RangeCount {
             fn leaf(&mut self, g: &Grounding) -> bool {
-                let hash = g
-                    .completion_hash_into(&mut self.scratch)
+                g.key_into(g.full_key_plan(), &mut self.scratch)
                     .expect("leaf is fully bound");
+                let hash = incdb_data::fingerprint_hash(&self.scratch);
                 if self.range.contains(hash) && !self.set.contains(&self.scratch) {
                     self.set.insert(self.scratch.clone());
                 }

@@ -45,10 +45,10 @@ pub fn count_completions_brute<Q: BooleanQuery + Sync + ?Sized>(
 /// Enumerates the set of **all** distinct completions of `db`
 /// (no query filter), materialised as [`Database`] values. Exponential by
 /// nature; intended for small instances and tests. The walk streams through
-/// the engine's leaf-visitor API and dedups by canonical fingerprint
-/// ([`Grounding::completion_fingerprint_into`]), so each distinct
-/// completion is materialised exactly once — duplicate valuations cost a
-/// fingerprint comparison, not a [`Database`] clone. Counting callers
+/// the engine's leaf-visitor API and dedups by canonical completion key
+/// ([`Grounding::key_into`] over [`Grounding::full_key_plan`]), so each
+/// distinct completion is materialised exactly once — duplicate valuations
+/// cost a key comparison, not a [`Database`] clone. Counting callers
 /// should prefer [`count_all_completions_brute`], which never materialises
 /// at all, and callers that want paging or bounded memory should use the
 /// `incdb-stream` crate's `CompletionStream` / sharded counters.
@@ -59,7 +59,7 @@ pub fn all_completions(db: &IncompleteDatabase) -> Result<BTreeSet<Database>, Da
     }
     impl CompletionVisitor for DistinctKeys {
         fn leaf(&mut self, g: &Grounding) -> bool {
-            g.completion_fingerprint_into(&mut self.scratch)
+            g.key_into(g.full_key_plan(), &mut self.scratch)
                 .expect("every null is bound at a leaf");
             if !self.keys.contains(&self.scratch) {
                 self.keys.insert(self.scratch.clone());

@@ -81,9 +81,9 @@ pub enum ClassAction {
 /// `Refuted` subtrees are pruned before any hook sees a leaf. Distinct
 /// completions are **not** deduplicated at this layer — several valuations
 /// may induce the same completion, and [`leaf`] sees each of them.
-/// Deduplicate by fingerprint ([`Grounding::completion_fingerprint_into`])
-/// when counting, as [`CollectKeys`] and the sharded counters of
-/// `incdb-stream` do.
+/// Deduplicate by completion key ([`Grounding::key_into`] over
+/// [`Grounding::full_key_plan`]) when counting, as [`CollectKeys`] and the
+/// sharded counters of `incdb-stream` do.
 ///
 /// The `enter`, `leave`, `refuted`, `finished`, `generates` and `generated`
 /// hooks exist for [`PageSink`]: they track the summary node the walk is
@@ -109,8 +109,8 @@ pub trait CompletionVisitor {
     /// Called once per node at the plan's **separation cut** — the depth at
     /// which every remaining unbound null is separable
     /// ([`SearchSession::separation_cut`]). At such a node the non-clean
-    /// ("dirty") facts are fully resolved, so their partial fingerprint
-    /// ([`Grounding::partial_fingerprint_into`] over
+    /// ("dirty") facts are fully resolved, so their partial key
+    /// ([`Grounding::key_into`] over the [`Grounding::key_plan`] of
     /// [`SearchSession::class_facts`]) canonically names the node's
     /// **completion class**: all leaves below share that dirty part, and
     /// distinct separable assignments below it induce distinct completions.
@@ -163,12 +163,15 @@ pub trait CompletionVisitor {
     fn generated(&mut self, _key: &CompletionKey) {}
 }
 
-/// Extracts the canonical fingerprint
-/// ([`Grounding::completion_fingerprint`]) at a fully bound leaf: a hash
-/// set of [`CompletionKey`]s counts distinct completions without ever
-/// building a [`Database`].
+/// Extracts the canonical completion key ([`Grounding::key_into`] over
+/// [`Grounding::full_key_plan`]) at a fully bound leaf: a hash set of
+/// [`CompletionKey`]s counts distinct completions without ever building a
+/// [`Database`].
 pub(crate) fn completion_key(g: &Grounding) -> CompletionKey {
-    g.completion_fingerprint().expect("leaf is fully bound")
+    let mut key = CompletionKey::new();
+    g.key_into(g.full_key_plan(), &mut key)
+        .expect("leaf is fully bound");
+    key
 }
 
 /// The #Val sink: credits every `Satisfied` subtree with its closed-form
@@ -525,7 +528,7 @@ impl<'c> PageSink<'c> {
 impl CompletionVisitor for PageSink<'_> {
     fn leaf(&mut self, g: &Grounding) -> bool {
         let mut key = std::mem::take(&mut self.scratch);
-        g.completion_fingerprint_into(&mut key)
+        g.key_into(g.full_key_plan(), &mut key)
             .expect("every null is bound at a leaf");
         self.generated(&key);
         self.scratch = key;
@@ -825,8 +828,8 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
     }
 
     /// Per-fact include mask of the non-clean facts — the
-    /// [`Grounding::partial_fingerprint_into`] mask that canonically names
-    /// a completion class at the separation cut.
+    /// [`Grounding::key_plan`] mask whose key canonically names a
+    /// completion class at the separation cut.
     pub fn class_facts(&self) -> &[bool] {
         &self.plan.class_facts
     }
@@ -1140,7 +1143,7 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
         }
         let mut key = std::mem::take(&mut self.key);
         self.g
-            .completion_fingerprint_into(&mut key)
+            .key_into(self.g.full_key_plan(), &mut key)
             .expect("every null is bound below the cut");
         // Track where each remaining null's tuple sits in the key, and
         // which column it owns. Clean tuples are unique in the key, so the
@@ -1236,7 +1239,7 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
 mod tests {
     use super::*;
     use crate::engine::{BacktrackingEngine, CountingEngine, Tautology};
-    use incdb_data::{NullId, Value};
+    use incdb_data::{KeyPlan, NullId, Value};
     use incdb_query::Bcq;
 
     /// The database of Example 2.2 / Figure 1.
@@ -1374,7 +1377,7 @@ mod tests {
     /// dirty-part fingerprints memoised exactly, class subtrees credited
     /// through `class_counted`.
     struct ClassCounter {
-        class_facts: Vec<bool>,
+        plan: KeyPlan,
         seen: HashSet<CompletionKey>,
         scratch: CompletionKey,
         total: BigNat,
@@ -1386,7 +1389,7 @@ mod tests {
             panic!("a counting class visitor never descends to leaves");
         }
         fn class_node(&mut self, g: &Grounding, _decided: bool) -> ClassAction {
-            g.partial_fingerprint_into(&self.class_facts, &mut self.scratch)
+            g.key_into(&self.plan, &mut self.scratch)
                 .expect("dirty facts are resolved at the cut");
             if self.seen.contains(&self.scratch) {
                 return ClassAction::Skip;
@@ -1417,7 +1420,7 @@ mod tests {
             let mut reference = CollectKeys::default();
             session.walk(&mut reference);
             let mut counter = ClassCounter {
-                class_facts: session.class_facts().to_vec(),
+                plan: session.grounding().key_plan(session.class_facts()),
                 seen: HashSet::new(),
                 scratch: CompletionKey::new(),
                 total: BigNat::zero(),

@@ -19,7 +19,9 @@ use incdb_core::session::{
     ClassAction, CollectKeys, CompletionVisitor, CountValuations, PageSink, PageSummary,
     SearchSession,
 };
-use incdb_data::{CompletionKey, Constant, Database, Grounding, IncompleteDatabase, PageHeap};
+use incdb_data::{
+    CompletionKey, Constant, Database, Grounding, IncompleteDatabase, KeyPlan, PageHeap,
+};
 use incdb_query::{Bcq, BooleanQuery, NegatedBcq, Ucq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -316,7 +318,7 @@ fn missing_domain_is_an_error_on_every_path() {
 /// walks that start below the cut never see a class node, so their leaves
 /// are deduplicated by full completion key instead.
 struct ClassCount {
-    class_facts: Vec<bool>,
+    plan: KeyPlan,
     classes: HashSet<CompletionKey>,
     leaves: HashSet<CompletionKey>,
     scratch: CompletionKey,
@@ -326,7 +328,7 @@ struct ClassCount {
 impl ClassCount {
     fn new(session: &SearchSession<'_, Bcq>) -> Self {
         ClassCount {
-            class_facts: session.class_facts().to_vec(),
+            plan: session.grounding().key_plan(session.class_facts()),
             classes: HashSet::new(),
             leaves: HashSet::new(),
             scratch: CompletionKey::new(),
@@ -341,13 +343,14 @@ impl ClassCount {
 
 impl CompletionVisitor for ClassCount {
     fn leaf(&mut self, g: &Grounding) -> bool {
-        self.leaves.insert(g.completion_fingerprint().unwrap());
+        let mut key = CompletionKey::new();
+        g.key_into(g.full_key_plan(), &mut key).unwrap();
+        self.leaves.insert(key);
         true
     }
 
     fn class_node(&mut self, g: &Grounding, _decided: bool) -> ClassAction {
-        g.partial_fingerprint_into(&self.class_facts, &mut self.scratch)
-            .unwrap();
+        g.key_into(&self.plan, &mut self.scratch).unwrap();
         if self.classes.insert(self.scratch.clone()) {
             ClassAction::Count
         } else {

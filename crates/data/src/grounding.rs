@@ -17,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::database::Database;
 use crate::error::DataError;
-use crate::fingerprint::{fingerprint_hash, CompletionKey, HashRange};
+use crate::fingerprint::CompletionKey;
 use crate::incomplete::{DeltaOp, IncompleteDatabase};
 use crate::interner::SymbolRegistry;
 use crate::valuation::{Valuation, ValuationIter};
@@ -177,20 +177,25 @@ pub struct Grounding {
     /// Per null, whether it is already recorded in `dirty` (keeps the queue
     /// duplicate-free so undrained groundings stay `O(nulls)`).
     dirty_flag: Vec<bool>,
-    /// Lazily built skeleton of the full-fingerprint hot path (see
-    /// [`KeyPlan`]); assignment-independent, so clones share a consistent
-    /// value and rebuilding after `Clone` is merely redundant, never wrong.
-    key_plan: OnceLock<KeyPlan>,
+    /// Lazily built [`Grounding::full_key_plan`]; assignment-independent,
+    /// so clones share a consistent value and rebuilding after `Clone` is
+    /// merely redundant, never wrong.
+    full_plan: OnceLock<KeyPlan>,
 }
 
-/// An assignment-independent skeleton for fingerprinting a fixed fact
-/// subset: the template-ground members pre-sorted and deduplicated once,
-/// plus the indices of the null-hosting members that must be re-resolved
-/// per assignment. Leaf fingerprints then cost one small sort over the
-/// null-hosting facts and a linear merge with the ground block — instead
-/// of re-collecting and re-sorting the whole table with a fresh tuple
-/// allocation per fact at every leaf, which dominated both the unbounded
-/// enumeration baseline and the streaming selection walks.
+/// An assignment-independent skeleton for keying a fixed fact subset
+/// ([`Grounding::key_into`]): the template-ground members pre-sorted and
+/// deduplicated once, plus the indices of the null-hosting members that
+/// must be re-resolved per assignment. A key then costs one small sort over
+/// the null-hosting facts and a linear merge with the ground block —
+/// instead of re-collecting and re-sorting the whole table with a fresh
+/// tuple allocation per fact at every leaf, which dominated both the
+/// unbounded enumeration baseline and the streaming selection walks.
+///
+/// Get one from [`Grounding::full_key_plan`] (every fact, cached) or
+/// [`Grounding::key_plan`] (a selected subset). Fact indices are
+/// grounding-level, so a plan serves every clone of the grounding it was
+/// built from, until [`Grounding::apply_delta`] changes the fact set.
 #[derive(Debug, Clone)]
 pub struct KeyPlan {
     /// Sorted, deduplicated `(relation, tuple)` pairs of the included facts
@@ -260,7 +265,7 @@ impl Grounding {
             rel_ranges,
             dirty: Vec::new(),
             dirty_flag,
-            key_plan: OnceLock::new(),
+            full_plan: OnceLock::new(),
         })
     }
 
@@ -669,8 +674,8 @@ impl Grounding {
                 added: op.added,
             });
         }
-        // The fact set changed: any cached fingerprint skeleton is stale.
-        self.key_plan = OnceLock::new();
+        // The fact set changed: the cached full key plan is stale.
+        self.full_plan = OnceLock::new();
         Some(splices)
     }
 
@@ -731,56 +736,18 @@ impl Grounding {
             .map(|idx| (self.fact_values(idx), self.unbound_in_fact[idx] == 0))
     }
 
-    /// Every partially resolved fact as `(relation index, values)`; relation
-    /// indices follow the order of [`Grounding::relation_names`]. Used by the
-    /// counting engine to fingerprint completions without building a
-    /// [`Database`].
-    pub fn resolved_facts(&self) -> impl Iterator<Item = (usize, &[Value])> {
-        (0..self.fact_count()).map(|idx| (self.fact_rel[idx] as usize, self.fact_values(idx)))
+    /// The cached [`KeyPlan`] of every fact — the plan whose key names the
+    /// whole completion — built on first use.
+    pub fn full_key_plan(&self) -> &KeyPlan {
+        self.full_plan
+            .get_or_init(|| self.key_plan(&vec![true; self.fact_count()]))
     }
 
-    /// The canonical fingerprint of the completion induced by the current
-    /// (full) assignment: its facts as `(relation index, tuple)` pairs,
-    /// sorted and deduplicated. Two assignments induce the same completion
-    /// iff they produce the same fingerprint, so fingerprints support
-    /// counting distinct completions without materialising [`Database`]
-    /// values.
-    ///
-    /// Returns an error naming the first unbound null if the assignment is
-    /// not total.
-    pub fn completion_fingerprint(&self) -> Result<CompletionKey, DataError> {
-        let mut key = CompletionKey::new();
-        self.completion_fingerprint_into(&mut key)?;
-        Ok(key)
-    }
-
-    /// Writes the canonical fingerprint of the current (full) assignment
-    /// into a reusable buffer — the allocation-recycling form of
-    /// [`Grounding::completion_fingerprint`] for per-leaf hot loops. The
-    /// template-ground facts come pre-sorted from a lazily built
-    /// [`KeyPlan`], so each call only resolves and sorts the null-hosting
-    /// facts and merges them in, reusing the buffer's tuple allocations.
-    ///
-    /// Returns an error naming the first unbound null if the assignment is
-    /// not total.
-    pub fn completion_fingerprint_into(&self, key: &mut CompletionKey) -> Result<(), DataError> {
-        if let Some(i) = self.assignment.iter().position(Option::is_none) {
-            return Err(DataError::IncompleteValuation {
-                null: self.nulls[i],
-            });
-        }
-        let plan = self.full_key_plan();
-        self.merge_key(plan, key);
-        Ok(())
-    }
-
-    /// The cached [`KeyPlan`] covering every fact, built on first use.
-    fn full_key_plan(&self) -> &KeyPlan {
-        self.key_plan.get_or_init(|| self.build_key_plan(|_| true))
-    }
-
-    /// Builds a [`KeyPlan`] for the facts selected by `include`.
-    fn build_key_plan(&self, include: impl Fn(usize) -> bool) -> KeyPlan {
+    /// Builds a reusable [`KeyPlan`] for the facts `include` selects
+    /// (`include[f]` selects fact `f`). Hot loops that key the same subset
+    /// at every node build it once: separable class counting keys the
+    /// non-clean facts (see [`Separability`]) at every class node.
+    pub fn key_plan(&self, include: &[bool]) -> KeyPlan {
         let mut hosts_null = vec![false; self.fact_count()];
         for occs in &self.occurrences {
             for occ in occs {
@@ -790,7 +757,7 @@ impl Grounding {
         let mut ground = CompletionKey::new();
         let mut null_hosts = Vec::new();
         for (f, &hosts) in hosts_null.iter().enumerate() {
-            if !include(f) {
+            if !include[f] {
                 continue;
             }
             if hosts {
@@ -810,23 +777,36 @@ impl Grounding {
         KeyPlan { ground, null_hosts }
     }
 
-    /// Resolves the plan's null-hosting facts (which must all be fully
-    /// bound) and merges them with its pre-sorted ground block into `key`:
-    /// sorted, deduplicated, and byte-identical to the rebuild-and-sort
-    /// form. Tuple allocations already in `key` are reused; the merge runs
-    /// back to front so it needs no side buffer.
-    fn merge_key(&self, plan: &KeyPlan, key: &mut CompletionKey) {
+    /// Writes the canonical key of `plan`'s facts under the current
+    /// assignment into a reusable buffer: their `(relation index, tuple)`
+    /// pairs, sorted and deduplicated. Two assignments produce the same key
+    /// iff the planned facts resolve to the same fact set, so the key of
+    /// [`Grounding::full_key_plan`] names the completion and the key of a
+    /// partial plan names the induced sub-completion — counting distinct
+    /// keys counts distinct completions without building a [`Database`].
+    /// Hash a key with [`crate::fingerprint_hash`].
+    ///
+    /// Only the plan's null-hosting facts are resolved, each into a tuple
+    /// allocation already in `key`, then sorted and merged with the plan's
+    /// pre-sorted ground block. The merge runs back to front, so it needs no
+    /// side buffer.
+    ///
+    /// Returns an error naming the lowest-labelled unbound null among the
+    /// plan's facts if one of them is not fully resolved; the buffer's
+    /// contents are then unspecified.
+    pub fn key_into(&self, plan: &KeyPlan, key: &mut CompletionKey) -> Result<(), DataError> {
         let nf = plan.null_hosts.len();
         let total = nf + plan.ground.len();
         key.resize_with(total, Default::default);
         for (slot, &f) in key.iter_mut().zip(&plan.null_hosts) {
             slot.0 = self.fact_rel[f as usize] as usize;
             slot.1.clear();
-            slot.1.extend(
-                self.fact_values(f as usize)
-                    .iter()
-                    .map(|v| v.as_const().expect("null-hosting fact verified resolved")),
-            );
+            for v in self.fact_values(f as usize) {
+                match v {
+                    Value::Const(c) => slot.1.push(*c),
+                    Value::Null(_) => return Err(self.unbound_in_plan(plan)),
+                }
+            }
         }
         key[..nf].sort_unstable();
         // Backward merge: `key[..i]` holds the still-unmerged resolved
@@ -850,144 +830,21 @@ impl Grounding {
             }
         }
         key.dedup();
-    }
-
-    /// The stable 64-bit fingerprint hash ([`crate::fingerprint_hash`]) of
-    /// the completion induced by the current (full) assignment, computed
-    /// through a reusable key buffer. This is the point a hash-range shard
-    /// tests against its [`HashRange`].
-    ///
-    /// Returns an error naming the first unbound null if the assignment is
-    /// not total.
-    pub fn completion_hash_into(&self, scratch: &mut CompletionKey) -> Result<u64, DataError> {
-        self.completion_fingerprint_into(scratch)?;
-        Ok(fingerprint_hash(scratch))
-    }
-
-    /// The hash-range predicate of sharded distinct counting: does the
-    /// completion induced by the current (full) assignment fall in `range`?
-    /// Every completion falls in exactly one range of a
-    /// [`HashRange::partition`], so per-range walks count disjoint sets.
-    ///
-    /// Returns an error naming the first unbound null if the assignment is
-    /// not total.
-    pub fn completion_in_range(
-        &self,
-        range: HashRange,
-        scratch: &mut CompletionKey,
-    ) -> Result<bool, DataError> {
-        Ok(range.contains(self.completion_hash_into(scratch)?))
-    }
-
-    /// Writes the canonical fingerprint of the *included* facts only —
-    /// `include[f]` selects fact `f` — into a reusable buffer, clearing it
-    /// first. The partial key is sorted and deduplicated exactly like
-    /// [`Grounding::completion_fingerprint_into`], so it is a canonical name
-    /// for the induced sub-completion: two assignments produce the same
-    /// partial key iff the included facts resolve to the same fact set.
-    ///
-    /// Unlike the full fingerprint this does not require a total assignment
-    /// — only the included facts must be fully resolved. Returns an error
-    /// naming an unbound null of the first unresolved included fact.
-    ///
-    /// This is the classing primitive of separable counting: keying on the
-    /// fingerprint of the **non-clean** facts groups valuations whose dirty
-    /// parts coincide, and within such a class distinct separable
-    /// assignments induce distinct completions (see [`Separability`]).
-    pub fn partial_fingerprint_into(
-        &self,
-        include: &[bool],
-        key: &mut CompletionKey,
-    ) -> Result<(), DataError> {
-        key.clear();
-        for (f, &included) in include[..self.fact_count()].iter().enumerate() {
-            if !included {
-                continue;
-            }
-            let fact = self.fact_values(f);
-            if self.unbound_in_fact[f] != 0 {
-                let null = fact
-                    .iter()
-                    .find_map(|v| match v {
-                        Value::Null(n) => Some(*n),
-                        Value::Const(_) => None,
-                    })
-                    .expect("a fact with unbound positions holds a null");
-                return Err(DataError::IncompleteValuation { null });
-            }
-            key.push((
-                self.fact_rel[f] as usize,
-                fact.iter()
-                    .map(|v| v.as_const().expect("fact verified resolved"))
-                    .collect(),
-            ));
-        }
-        key.sort_unstable();
-        key.dedup();
         Ok(())
     }
 
-    /// The stable 64-bit fingerprint hash of the included facts' canonical
-    /// sub-completion, through a reusable key buffer — the partial-key
-    /// analogue of [`Grounding::completion_hash_into`].
-    pub fn partial_hash_into(
-        &self,
-        include: &[bool],
-        scratch: &mut CompletionKey,
-    ) -> Result<u64, DataError> {
-        self.partial_fingerprint_into(include, scratch)?;
-        Ok(fingerprint_hash(scratch))
-    }
-
-    /// Builds a reusable [`KeyPlan`] for the `include`-selected facts — the
-    /// precomputed form of [`Grounding::partial_fingerprint_into`] for hot
-    /// loops that fingerprint the same fact subset at every class node
-    /// (separable class counting keys on the non-clean facts thousands of
-    /// times): the included template-ground facts are sorted once here
-    /// instead of at every call.
-    pub fn partial_key_plan(&self, include: &[bool]) -> KeyPlan {
-        self.build_key_plan(|f| include[f])
-    }
-
-    /// Writes the canonical partial fingerprint of `plan`'s fact subset
-    /// into a reusable buffer — the plan-accelerated form of
-    /// [`Grounding::partial_fingerprint_into`], producing the identical
-    /// sorted, deduplicated key.
-    ///
-    /// Returns an error naming an unbound null of the first unresolved
-    /// included fact.
-    pub fn partial_fingerprint_with(
-        &self,
-        plan: &KeyPlan,
-        key: &mut CompletionKey,
-    ) -> Result<(), DataError> {
-        for &f in &plan.null_hosts {
-            if self.unbound_in_fact[f as usize] != 0 {
-                let null = self
-                    .fact_values(f as usize)
-                    .iter()
-                    .find_map(|v| match v {
-                        Value::Null(n) => Some(*n),
-                        Value::Const(_) => None,
-                    })
-                    .expect("a fact with unbound positions holds a null");
-                return Err(DataError::IncompleteValuation { null });
-            }
-        }
-        self.merge_key(plan, key);
-        Ok(())
-    }
-
-    /// The stable 64-bit fingerprint hash of `plan`'s sub-completion,
-    /// through a reusable key buffer — the plan-accelerated form of
-    /// [`Grounding::partial_hash_into`].
-    pub fn partial_hash_with(
-        &self,
-        plan: &KeyPlan,
-        scratch: &mut CompletionKey,
-    ) -> Result<u64, DataError> {
-        self.partial_fingerprint_with(plan, scratch)?;
-        Ok(fingerprint_hash(scratch))
+    /// The error of [`Grounding::key_into`] on a plan with an unresolved
+    /// fact: the lowest-labelled unbound null among the plan's facts.
+    #[cold]
+    fn unbound_in_plan(&self, plan: &KeyPlan) -> DataError {
+        let null = plan
+            .null_hosts
+            .iter()
+            .flat_map(|&f| self.fact_values(f as usize))
+            .filter_map(|v| v.as_null())
+            .min()
+            .expect("an unresolved plan fact holds a null");
+        DataError::IncompleteValuation { null }
     }
 
     /// Statically analyses the table for clean facts and separable nulls
@@ -1179,16 +1036,15 @@ impl Grounding {
         for (_, name) in self.registry.iter() {
             out.declare_relation(name);
         }
-        let mut ground = Vec::new();
-        for (rel, fact) in self.resolved_facts() {
-            ground.clear();
-            ground.extend(
-                fact.iter()
-                    .map(|v| v.as_const().expect("all nulls are bound")),
-            );
-            let name = self.registry.name(crate::RelId(rel as u32)).unwrap();
-            out.add_fact(name, ground.clone())
-                .expect("arity verified at insertion time");
+        for f in 0..self.fact_count() {
+            let name = self.registry.name(crate::RelId(self.fact_rel[f])).unwrap();
+            let fact = self.fact_values(f).iter();
+            out.add_fact(
+                name,
+                fact.map(|v| v.as_const().expect("all nulls are bound"))
+                    .collect(),
+            )
+            .expect("arity verified at insertion time");
         }
         Ok(())
     }
@@ -1224,12 +1080,19 @@ fn sorted_slices_intersect(a: &[Constant], b: &[Constant]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::{fingerprint_hash, HashRange};
 
     fn c(id: u64) -> Value {
         Value::constant(id)
     }
     fn n(id: u32) -> Value {
         Value::null(id)
+    }
+
+    /// The key of the whole completion, through the cached full plan.
+    fn full_key(g: &Grounding) -> Result<CompletionKey, DataError> {
+        let mut key = CompletionKey::new();
+        g.key_into(g.full_key_plan(), &mut key).map(|()| key)
     }
 
     /// Example 2.2 / Figure 1: `S(a,b), S(⊥1,a), S(a,⊥2)`.
@@ -1455,33 +1318,38 @@ mod tests {
         let db = example_2_2();
         let mut g = db.try_grounding().unwrap();
         let mut key = CompletionKey::new();
-        // Partial assignments surface the missing null on every entry point.
+        // A partial assignment names its lowest-labelled unbound null.
         assert!(matches!(
-            g.completion_fingerprint_into(&mut key),
+            g.key_into(g.full_key_plan(), &mut key),
             Err(DataError::IncompleteValuation { null: NullId(1) })
         ));
-        assert!(g.completion_hash_into(&mut key).is_err());
-        assert!(g.completion_in_range(HashRange::full(), &mut key).is_err());
-
         g.bind(NullId(1), Constant(2)).unwrap();
+        assert!(matches!(
+            full_key(&g),
+            Err(DataError::IncompleteValuation { null: NullId(2) })
+        ));
+
         g.bind(NullId(2), Constant(0)).unwrap();
-        g.completion_fingerprint_into(&mut key).unwrap();
-        assert_eq!(key, g.completion_fingerprint().unwrap());
-        let hash = g.completion_hash_into(&mut key).unwrap();
-        assert_eq!(hash, fingerprint_hash(&key));
-        assert!(g.completion_in_range(HashRange::full(), &mut key).unwrap());
+        g.key_into(g.full_key_plan(), &mut key).unwrap();
+        assert_eq!(key, full_key(&g).unwrap());
+        let hash = fingerprint_hash(&key);
+        assert!(HashRange::full().contains(hash));
         // The completion falls in exactly one shard of any partition.
         for shards in [2usize, 3, 5] {
             let hits = HashRange::partition(shards)
                 .into_iter()
-                .filter(|r| g.completion_in_range(*r, &mut key).unwrap())
+                .filter(|r| r.contains(hash))
                 .count();
             assert_eq!(hits, 1, "{shards} shards");
         }
         // The buffer is reused across assignments: rebind and re-derive.
         g.bind(NullId(1), Constant(0)).unwrap();
-        let rebound = g.completion_hash_into(&mut key).unwrap();
-        assert_ne!(hash, rebound, "different completion, different hash");
+        g.key_into(g.full_key_plan(), &mut key).unwrap();
+        assert_ne!(
+            hash,
+            fingerprint_hash(&key),
+            "different completion, different hash"
+        );
     }
 
     #[test]
@@ -1579,34 +1447,34 @@ mod tests {
     }
 
     #[test]
-    fn partial_fingerprints_name_the_included_subcompletion() {
+    fn partial_keys_name_the_included_subcompletion() {
         let db = example_2_2();
         let mut g = db.try_grounding().unwrap();
         let mut key = CompletionKey::new();
         // Facts sort as S(a,b), S(a,⊥2), S(⊥1,a). Including only the ground
         // fact needs no binds at all.
-        g.partial_fingerprint_into(&[true, false, false], &mut key)
+        g.key_into(&g.key_plan(&[true, false, false]), &mut key)
             .unwrap();
         assert_eq!(key, vec![(0, vec![Constant(0), Constant(1)])]);
-        // Including an unresolved fact names one of its unbound nulls.
+        let ground_hash = fingerprint_hash(&key);
+        // Including an unresolved fact names its unbound null.
+        let plan = g.key_plan(&[true, true, false]);
         assert!(matches!(
-            g.partial_fingerprint_into(&[true, true, false], &mut key),
+            g.key_into(&plan, &mut key),
             Err(DataError::IncompleteValuation { null: NullId(2) })
         ));
         // Binding just that fact's null is enough — the other fact may stay
-        // unbound — and duplicates collapse like the full fingerprint.
+        // unbound — and duplicates collapse like the full key.
         g.bind(NullId(2), Constant(1)).unwrap();
-        g.partial_fingerprint_into(&[true, true, false], &mut key)
-            .unwrap();
+        g.key_into(&plan, &mut key).unwrap();
         assert_eq!(key, vec![(0, vec![Constant(0), Constant(1)])]);
-        let h = g.partial_hash_into(&[true, true, false], &mut key).unwrap();
-        assert_eq!(h, fingerprint_hash(&key));
+        assert_eq!(fingerprint_hash(&key), ground_hash);
         // With every fact included and every null bound, the partial key is
-        // the full fingerprint.
+        // the full key.
         g.bind(NullId(1), Constant(2)).unwrap();
-        g.partial_fingerprint_into(&[true, true, true], &mut key)
+        g.key_into(&g.key_plan(&[true, true, true]), &mut key)
             .unwrap();
-        assert_eq!(key, g.completion_fingerprint().unwrap());
+        assert_eq!(key, full_key(&g).unwrap());
     }
 
     #[test]
@@ -1623,7 +1491,7 @@ mod tests {
         assert!(!g.null_can_take(NullId(7), Constant(0)));
         assert_eq!(g.occurrence_count(0), 1);
         assert_eq!(g.relation_names().collect::<Vec<_>>(), vec!["S"]);
-        assert_eq!(g.resolved_facts().count(), 3);
+        assert_eq!(g.fact_count(), 3);
         assert_eq!(g.value_by_index(0), None);
     }
 
@@ -1667,10 +1535,7 @@ mod tests {
         let mut fresh = fresh;
         fresh.bind(NullId(0), Constant(1)).unwrap();
         fresh.bind(NullId(1), Constant(0)).unwrap();
-        assert_eq!(
-            g.completion_fingerprint().unwrap(),
-            fresh.completion_fingerprint().unwrap()
-        );
+        assert_eq!(full_key(&g).unwrap(), full_key(&fresh).unwrap());
     }
 
     /// Deltas a patch cannot express refuse cleanly without mutating.
@@ -1702,10 +1567,10 @@ mod tests {
         assert_eq!(g.fact_count(), 2);
     }
 
-    /// The merged (plan-based) fingerprints must be byte-identical to the
-    /// rebuild-and-sort reference at every assignment — including ones
-    /// where resolved null facts collide with ground facts or each other,
-    /// so dedup fires across the merge boundary.
+    /// Every plan's key must be byte-identical to the rebuild-and-sort
+    /// reference at every assignment and for every include mask —
+    /// including assignments where resolved null facts collide with ground
+    /// facts or each other, so dedup fires across the merge boundary.
     #[test]
     fn key_plans_reproduce_the_rebuild_reference_exactly() {
         let mut db = IncompleteDatabase::new_uniform([0u64, 1, 2]);
@@ -1716,15 +1581,16 @@ mod tests {
         db.add_fact("S", vec![n(2), c(9)]).unwrap();
         let mut g = db.try_grounding().unwrap();
 
-        let reference = |g: &Grounding| -> CompletionKey {
-            let mut key: CompletionKey = g
-                .resolved_facts()
-                .map(|(rel, fact)| {
+        // The rebuild-and-sort reference: collect the included facts'
+        // resolved tuples afresh, then sort and deduplicate.
+        let reference = |g: &Grounding, include: &[bool]| -> CompletionKey {
+            let mut key: CompletionKey = (0..g.fact_count())
+                .filter(|&f| include[f])
+                .map(|f| {
+                    let fact = g.fact_values(f).iter();
                     (
-                        rel,
-                        fact.iter()
-                            .map(|v| v.as_const().unwrap())
-                            .collect::<Vec<Constant>>(),
+                        g.fact_relation(f),
+                        fact.map(|v| v.as_const().unwrap()).collect(),
                     )
                 })
                 .collect();
@@ -1733,8 +1599,10 @@ mod tests {
             key
         };
 
-        let include = [true, false, true, true, false];
-        let plan = g.partial_key_plan(&include);
+        let masks: Vec<Vec<bool>> = (0..32u32)
+            .map(|m| (0..5).map(|f| m >> f & 1 == 1).collect())
+            .collect();
+        let plans: Vec<KeyPlan> = masks.iter().map(|m| g.key_plan(m)).collect();
         let mut key = CompletionKey::new();
         let mut partial = CompletionKey::new();
         for a in 0..3u64 {
@@ -1744,27 +1612,41 @@ mod tests {
                     g.bind(NullId(0), Constant(a)).unwrap();
                     g.bind(NullId(1), Constant(b)).unwrap();
                     g.bind(NullId(2), Constant(s)).unwrap();
-                    g.completion_fingerprint_into(&mut key).unwrap();
-                    assert_eq!(key, reference(&g), "full key diverges at ({a},{b},{s})");
-
-                    g.partial_fingerprint_with(&plan, &mut partial).unwrap();
-                    let mut expect = CompletionKey::new();
-                    g.partial_fingerprint_into(&include, &mut expect).unwrap();
-                    assert_eq!(partial, expect, "partial key diverges at ({a},{b},{s})");
+                    g.key_into(g.full_key_plan(), &mut key).unwrap();
                     assert_eq!(
-                        g.partial_hash_with(&plan, &mut partial).unwrap(),
-                        g.partial_hash_into(&include, &mut expect).unwrap(),
+                        key,
+                        reference(&g, &[true; 5]),
+                        "full key diverges at ({a},{b},{s})"
                     );
+
+                    for (mask, plan) in masks.iter().zip(&plans) {
+                        g.key_into(plan, &mut partial).unwrap();
+                        let expect = reference(&g, mask);
+                        assert_eq!(partial, expect, "key of {mask:?} diverges at ({a},{b},{s})");
+                        assert_eq!(fingerprint_hash(&partial), fingerprint_hash(&expect));
+                    }
                 }
             }
         }
 
-        // An unresolved included fact errors through the plan path too.
+        // An unresolved included fact errors through every plan that
+        // includes one, naming the lowest-labelled unbound null.
         g.reset();
         g.bind(NullId(2), Constant(0)).unwrap();
-        assert!(matches!(
-            g.partial_fingerprint_with(&plan, &mut partial),
-            Err(DataError::IncompleteValuation { .. })
-        ));
+        for (mask, plan) in masks.iter().zip(&plans) {
+            let unresolved = (0..g.fact_count())
+                .any(|f| mask[f] && g.fact_values(f).iter().any(|v| v.as_null().is_some()));
+            match g.key_into(plan, &mut partial) {
+                Err(DataError::IncompleteValuation { null }) => {
+                    assert!(unresolved, "{mask:?}");
+                    assert_eq!(null, NullId(0), "{mask:?}");
+                }
+                Ok(()) => {
+                    assert!(!unresolved, "{mask:?}");
+                    assert_eq!(partial, reference(&g, mask));
+                }
+                Err(e) => panic!("unexpected error {e:?}"),
+            }
+        }
     }
 }

@@ -18,6 +18,7 @@
 //! `O(budget)` resident fingerprints, the serving-layer face of the
 //! streaming subsystem's memory-vs-passes trade-off.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::RwLock;
 use std::thread;
 use std::time::Instant;
@@ -237,7 +238,25 @@ impl<'q, Q: BooleanQuery + Sync + ?Sized> ServeNode<'q, Q> {
         let tasks = requests.into_iter().enumerate().collect();
         let done = TaskQueue::run(tasks, workers, |(heap, replies), (idx, request), _| {
             let queue_wait_ns = enqueued.elapsed().as_nanos() as u64;
-            replies.push(self.handle(idx, request, queue_wait_ns, heap));
+            // A panicking request becomes its own `Error` reply and the rest
+            // of the batch is served: a dropped lease only forfeits reuse,
+            // and every page fill clears the heap first.
+            let served = panic::catch_unwind(AssertUnwindSafe(|| {
+                self.handle(idx, request, queue_wait_ns, heap)
+            }));
+            replies.push(served.unwrap_or_else(|payload| {
+                let msg = (payload.downcast_ref::<&str>().copied())
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string payload");
+                Reply {
+                    request: idx,
+                    outcome: Outcome::Error(format!("request {idx}: panicked: {msg}")),
+                    metrics: RequestMetrics {
+                        queue_wait_ns,
+                        ..RequestMetrics::default()
+                    },
+                }
+            }));
         });
         let mut out: Vec<Reply> = done.into_iter().flat_map(|(_, replies)| replies).collect();
         out.sort_by_key(|reply| reply.request);
@@ -404,6 +423,7 @@ impl<'q, Q: BooleanQuery + Sync + ?Sized> ServeNode<'q, Q> {
 mod tests {
     use super::*;
     use incdb_query::Bcq;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn more_workers_than_requests_still_reply_in_request_order() {
@@ -433,5 +453,52 @@ mod tests {
         assert!(matches!(replies[1].outcome, Outcome::Page { .. }));
         assert!(matches!(replies[2].outcome, Outcome::Error(_)));
         assert!(node.serve_with_workers(Vec::new(), 8).is_empty());
+    }
+
+    /// `R(x)`, except that a query built armed panics the first time it is
+    /// model-checked.
+    struct PanicsOnce {
+        inner: Bcq,
+        armed: AtomicBool,
+    }
+
+    impl BooleanQuery for PanicsOnce {
+        fn holds(&self, db: &incdb_data::Database) -> bool {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                panic!("armed query");
+            }
+            self.inner.holds(db)
+        }
+        fn signature(&self) -> std::collections::BTreeSet<String> {
+            self.inner.signature()
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_fails_alone() {
+        for workers in [1, 2] {
+            let mut db = IncompleteDatabase::new_uniform([0u64, 1]);
+            db.add_fact("R", vec![Value::null(0)]).unwrap();
+            let query = |armed| PanicsOnce {
+                inner: "R(x)".parse().unwrap(),
+                armed: AtomicBool::new(armed),
+            };
+            let (bad, good) = (query(true), query(false));
+            let node = ServeNode::new(db, vec![&bad, &good], vec![Tenant::new("t", 4)]);
+            let count = |tenant, query| Request::Count { tenant, query };
+            let replies =
+                node.serve_with_workers(vec![count(0, 0), count(0, 1), count(9, 1)], workers);
+            let order: Vec<usize> = replies.iter().map(|reply| reply.request).collect();
+            assert_eq!(order, [0, 1, 2], "{workers} workers");
+            match &replies[0].outcome {
+                Outcome::Error(msg) => assert!(msg.contains("panicked: armed query"), "{msg}"),
+                other => panic!("expected an error, got {other:?}"),
+            }
+            assert_eq!(replies[1].outcome, Outcome::Count(BigNat::from(2u64)));
+            match &replies[2].outcome {
+                Outcome::Error(msg) => assert!(!msg.contains("panicked"), "{msg}"),
+                other => panic!("expected an error, got {other:?}"),
+            }
+        }
     }
 }

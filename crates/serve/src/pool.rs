@@ -102,8 +102,8 @@ pub struct PoolStats {
     pub reused: u64,
     /// Shelved sessions dropped because the database moved past them.
     pub invalidated: u64,
-    /// Checkouts of queries with no [`BooleanQuery::cache_key`]: served
-    /// fresh, never shelved.
+    /// Sessions built for queries with no [`BooleanQuery::cache_key`]:
+    /// served fresh, never shelved. A subset of `built`.
     pub uncacheable: u64,
     /// Stale sessions advanced in place through the delta log
     /// ([`SearchSession::advance_to`]) — each one is a grounding build and
@@ -230,64 +230,64 @@ impl<'q, Q: BooleanQuery + ?Sized> SessionPool<'q, Q> {
     pub fn check_out(&self, db: &IncompleteDatabase, q: &'q Q) -> Result<Lease<'q, Q>, DataError> {
         let revision = db.revision();
         let key = PoolKey::of(q);
-        match &key {
-            None => {
-                self.uncacheable.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(k) => {
-                let mut shelves = self.shelves.lock().expect("pool lock poisoned");
-                if let Some(shelf) = shelves.get_mut(k) {
-                    if shelf.revision == revision {
-                        if let Some(session) = shelf.sessions.pop() {
+        if let Some(k) = &key {
+            let mut shelves = self.shelves.lock().expect("pool lock poisoned");
+            if let Some(shelf) = shelves.get_mut(k) {
+                if shelf.revision == revision {
+                    if let Some(session) = shelf.sessions.pop() {
+                        self.reused.fetch_add(1, Ordering::Relaxed);
+                        return Ok(Lease {
+                            session,
+                            key,
+                            revision,
+                            reused: true,
+                            patched: false,
+                        });
+                    }
+                } else if self.policy == MaintenancePolicy::PatchForward
+                    && shelf.revision < revision
+                {
+                    // Patch-forward: advance one shelved session
+                    // through the delta log and serve it. Shelf-mates
+                    // stay behind at the old revision for later
+                    // checkouts (or the maintain sweep) to advance.
+                    if let Some(mut session) = shelf.sessions.pop() {
+                        if session.advance_to(db, shelf.revision) {
                             self.reused.fetch_add(1, Ordering::Relaxed);
+                            self.patched.fetch_add(1, Ordering::Relaxed);
                             return Ok(Lease {
                                 session,
                                 key,
                                 revision,
                                 reused: true,
-                                patched: false,
+                                patched: true,
                             });
                         }
-                    } else if self.policy == MaintenancePolicy::PatchForward
-                        && shelf.revision < revision
-                    {
-                        // Patch-forward: advance one shelved session
-                        // through the delta log and serve it. Shelf-mates
-                        // stay behind at the old revision for later
-                        // checkouts (or the maintain sweep) to advance.
-                        if let Some(mut session) = shelf.sessions.pop() {
-                            if session.advance_to(db, shelf.revision) {
-                                self.reused.fetch_add(1, Ordering::Relaxed);
-                                self.patched.fetch_add(1, Ordering::Relaxed);
-                                return Ok(Lease {
-                                    session,
-                                    key,
-                                    revision,
-                                    reused: true,
-                                    patched: true,
-                                });
-                            }
-                            // advance_to is deterministic in (db, shelf
-                            // revision): if this session cannot patch, none
-                            // of its shelf-mates can either.
-                            let dropped = shelf.sessions.len() as u64 + 1;
-                            self.invalidated.fetch_add(dropped, Ordering::Relaxed);
-                            self.rebuilt_gap.fetch_add(dropped, Ordering::Relaxed);
-                            shelves.remove(k);
-                        }
-                    } else {
-                        // Drop-and-rebuild, or the database somehow moved
-                        // *behind* the shelf: every session on it is stale,
-                        // whichever direction we look from.
-                        self.invalidated
-                            .fetch_add(shelf.sessions.len() as u64, Ordering::Relaxed);
+                        // advance_to is deterministic in (db, shelf
+                        // revision): if this session cannot patch, none
+                        // of its shelf-mates can either.
+                        let dropped = shelf.sessions.len() as u64 + 1;
+                        self.invalidated.fetch_add(dropped, Ordering::Relaxed);
+                        self.rebuilt_gap.fetch_add(dropped, Ordering::Relaxed);
                         shelves.remove(k);
                     }
+                } else {
+                    // Drop-and-rebuild, or the database somehow moved
+                    // *behind* the shelf: every session on it is stale,
+                    // whichever direction we look from.
+                    self.invalidated
+                        .fetch_add(shelf.sessions.len() as u64, Ordering::Relaxed);
+                    shelves.remove(k);
                 }
             }
         }
         let session = self.engine.session(db, q)?;
         self.built.fetch_add(1, Ordering::Relaxed);
+        // Counted with `built`, never before it: a failed build counts
+        // neither, so `uncacheable <= built` and `hit_rate` cannot underflow.
+        if key.is_none() {
+            self.uncacheable.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(Lease {
             session,
             key,
@@ -641,18 +641,19 @@ mod tests {
         assert_eq!(pool.stats().built, 2);
     }
 
+    /// A query type that cannot name itself.
+    struct Opaque;
+    impl BooleanQuery for Opaque {
+        fn holds(&self, _db: &incdb_data::Database) -> bool {
+            true
+        }
+        fn signature(&self) -> std::collections::BTreeSet<String> {
+            std::collections::BTreeSet::new()
+        }
+    }
+
     #[test]
     fn uncacheable_queries_are_served_fresh_every_time() {
-        /// A query type that cannot name itself.
-        struct Opaque;
-        impl BooleanQuery for Opaque {
-            fn holds(&self, _db: &incdb_data::Database) -> bool {
-                true
-            }
-            fn signature(&self) -> std::collections::BTreeSet<String> {
-                std::collections::BTreeSet::new()
-            }
-        }
         let db = example_db();
         let q = Opaque;
         let pool: SessionPool<'_, Opaque> = SessionPool::new();
@@ -665,5 +666,18 @@ mod tests {
         let stats = pool.stats();
         assert_eq!((stats.built, stats.uncacheable), (3, 3));
         assert_eq!(stats.hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn failed_uncacheable_builds_keep_the_hit_rate_defined() {
+        // A null with no domain fails the build: it counts neither as built
+        // nor as uncacheable, so `hit_rate` cannot underflow.
+        let mut db = IncompleteDatabase::new_non_uniform();
+        db.add_fact("S", vec![Value::null(1)]).unwrap();
+        let pool: SessionPool<'_, Opaque> = SessionPool::new();
+        assert!(pool.check_out(&db, &Opaque).is_err());
+        let stats = pool.stats();
+        assert_eq!(stats.hit_rate(), 0.0);
+        assert_eq!((stats.built, stats.uncacheable), (0, 0));
     }
 }

@@ -16,7 +16,7 @@
 //! relation order of the table — a cursor is only meaningful against the
 //! same database schema it was produced from.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
 
 use incdb_data::{CompletionKey, Constant};
@@ -58,19 +58,21 @@ impl Cursor {
     /// Encodes the cursor as a plain ASCII string (see the module docs).
     /// The inverse of [`Cursor::decode`].
     pub fn encode(&self) -> String {
-        match &self.after {
-            None => format!("{PREFIX}:start"),
-            Some(key) => {
-                let body: Vec<String> = key
-                    .iter()
-                    .map(|(rel, tuple)| {
-                        let values: Vec<String> = tuple.iter().map(|c| c.0.to_string()).collect();
-                        format!("{rel}:{}", values.join(","))
-                    })
-                    .collect();
-                format!("{PREFIX}:after:{}", body.join(";"))
+        let Some(key) = &self.after else {
+            return format!("{PREFIX}:start");
+        };
+        // Written straight into the one output string: no per-fact or
+        // per-value allocation.
+        let mut out = format!("{PREFIX}:after:");
+        for (i, (rel, tuple)) in key.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ";" };
+            write!(out, "{sep}{rel}:").expect("writing to a String cannot fail");
+            for (j, c) in tuple.iter().enumerate() {
+                let sep = if j == 0 { "" } else { "," };
+                write!(out, "{sep}{}", c.0).expect("writing to a String cannot fail");
             }
         }
+        out
     }
 
     /// Decodes a cursor previously produced by [`Cursor::encode`],
@@ -206,13 +208,17 @@ mod tests {
 
     #[test]
     fn roundtrips() {
-        for cursor in [
-            Cursor::start(),
-            Cursor::after(CompletionKey::new()),
-            Cursor::after(key(&[(0, &[7])])),
-            Cursor::after(key(&[(0, &[1, 2]), (1, &[]), (3, &[u64::MAX])])),
+        for (cursor, wire) in [
+            (Cursor::start(), "incdbs1:start"),
+            (Cursor::after(CompletionKey::new()), "incdbs1:after:"),
+            (Cursor::after(key(&[(0, &[7])])), "incdbs1:after:0:7"),
+            (
+                Cursor::after(key(&[(0, &[1, 2]), (1, &[]), (3, &[u64::MAX])])),
+                "incdbs1:after:0:1,2;1:;3:18446744073709551615",
+            ),
         ] {
             let encoded = cursor.encode();
+            assert_eq!(encoded, wire);
             assert_eq!(Cursor::decode(&encoded).unwrap(), cursor, "{encoded}");
             assert_eq!(encoded.parse::<Cursor>().unwrap(), cursor);
             assert_eq!(cursor.to_string(), encoded);

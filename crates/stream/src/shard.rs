@@ -65,7 +65,9 @@ use std::collections::HashSet;
 use incdb_bignum::{BigNat, NatAccumulator};
 use incdb_core::engine::{CompletionVisitor, TaskQueue};
 use incdb_core::session::{ClassAction, SearchSession};
-use incdb_data::{CompletionKey, DataError, Grounding, HashRange, IncompleteDatabase, KeyPlan};
+use incdb_data::{
+    fingerprint_hash, CompletionKey, DataError, Grounding, HashRange, IncompleteDatabase, KeyPlan,
+};
 use incdb_query::BooleanQuery;
 
 /// The result of a sharded distinct-completion count, with the memory and
@@ -255,9 +257,9 @@ impl CompletionVisitor for MultiRangeSink<'_> {
     }
 
     fn class_node(&mut self, g: &Grounding, _decided: bool) -> ClassAction {
-        let hash = g
-            .partial_hash_with(self.plan, &mut self.scratch)
+        g.key_into(self.plan, &mut self.scratch)
             .expect("every non-separable null is bound at the cut");
+        let hash = fingerprint_hash(&self.scratch);
         let Some(i) = HashRange::find(&self.spans, hash) else {
             return ClassAction::Skip;
         };
@@ -382,9 +384,7 @@ fn run_shards<Q: BooleanQuery + Sync + ?Sized>(
     let template = SearchSession::new(db, q)?;
     // One sort of the ground class facts for the whole call; fact indices
     // are template-level, so every forked worker session shares the plan.
-    let class_plan = template
-        .grounding()
-        .partial_key_plan(template.class_facts());
+    let class_plan = template.grounding().key_plan(template.class_facts());
     // Each worker: its persistent walk context — forked on its first batch,
     // rewound, not rebuilt, for every batch after it, never paid by a
     // worker that pops nothing — and its own tally.
