@@ -54,14 +54,16 @@ pub fn completion_estimator<Q: BooleanQuery + ?Sized, R: Rng + ?Sized>(
         });
     }
     let samples = samples.max(1);
-    // Completions are identified by their canonical keys, so the
-    // sampling loop never materialises a `Database` for dedup purposes.
+    // Completions are identified by their residual keys (the resolved
+    // null-hosting facts minus the ground block every completion holds),
+    // so the sampling loop neither materialises a `Database` nor copies
+    // the ground table per sample.
     let mut seen: BTreeMap<CompletionKey, usize> = BTreeMap::new();
     for _ in 0..samples {
         sample_into_grounding(&mut g, rng);
         if holds_under_current(&g, q, &mut scratch)? {
             let mut key = CompletionKey::new();
-            g.key_into(g.full_key_plan(), &mut key)?;
+            g.residual_key_into(g.full_key_plan(), &mut key)?;
             *seen.entry(key).or_insert(0) += 1;
         }
     }

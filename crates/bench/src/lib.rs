@@ -231,10 +231,10 @@ pub fn key_local_band_instance(
 /// the dirty part contributes the 45 distinct one-or-two-element subsets
 /// of the 9 pairs (9 singletons + 36 pairs), the separable part a
 /// `3^separable` factor, and the ground table nothing — so the exact
-/// count is `45 · 3^separable` however wide the table. Every class
-/// fingerprint spans the whole ground table, which is precisely what
-/// makes an unbounded all-fingerprints-resident run hurt at 10⁵ facts and
-/// a budgeted multi-walk run the only reasonable mode.
+/// count is `45 · 3^separable` however wide the table. A canonical class
+/// key would span the whole ground table; the residual class keys of the
+/// sharded counters hold only the resolved dirty rows, so their resident
+/// bytes stay flat as `ground_facts` grows.
 pub fn bounded_stream_large_instance(ground_facts: u64, separable: u32) -> IncompleteDatabase {
     let mut db = IncompleteDatabase::new_uniform(0..3u64);
     db.add_fact("R", vec![Value::null(0), Value::null(1)])

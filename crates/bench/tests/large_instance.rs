@@ -52,13 +52,15 @@ fn large_instance_count_stays_exact_and_bounded() {
     );
 }
 
-/// The bounded-streaming smoke the ISSUE demands: a 10⁵-fact instance
-/// whose class fingerprints each span the whole ground table, counted
-/// exactly under a budget far below the class count. An unbounded
-/// all-fingerprints run would hold 45 table-wide keys *and* enumerate the
-/// separable suffix leaf by leaf; the budgeted counter holds at most
-/// `BUDGET` keys at a time (multiple walks, evictions) and credits every
-/// class's separable subtree in closed form.
+/// The bounded-streaming smoke: a 10⁵-fact instance counted exactly under a
+/// budget far below its 45 completion classes. An unbounded
+/// all-fingerprints run would hold 45 keys *and* enumerate the separable
+/// suffix leaf by leaf; the budgeted counter holds at most `BUDGET` keys at
+/// a time (multiple walks, evictions) and credits every class's separable
+/// subtree in closed form. Class keys are residual keys — the resolved
+/// dirty facts minus the ground block — so their resident bytes must not
+/// grow with the ground table: the peak at 10⁵ facts equals the peak at
+/// 10³.
 #[test]
 fn large_instance_budgeted_streaming_counts_in_closed_form() {
     const BUDGET: usize = 12;
@@ -82,6 +84,19 @@ fn large_instance_budgeted_streaming_counts_in_closed_form() {
     assert!(
         result.evictions > 0,
         "overflowing walks must evict, not grow past the budget"
+    );
+    let small = count_completions_budgeted(
+        &bounded_stream_large_instance(1_000, SEPARABLE),
+        &Tautology,
+        BUDGET,
+        1,
+    )
+    .unwrap();
+    assert_eq!(small.count, expected);
+    assert!(result.peak_resident_bytes > 0);
+    assert_eq!(
+        result.peak_resident_bytes, small.peak_resident_bytes,
+        "resident class-key bytes grow with the ground table"
     );
     assert!(
         start.elapsed() < TIME_CEILING,

@@ -34,9 +34,11 @@
 //!   sibling branches back to the queue, so skewed instances (one heavy
 //!   subtree) keep every core busy. Counts are exact naturals, so worker
 //!   sums are deterministic.
-//! * **Completion dedup via canonical fingerprints** — distinct-completion
-//!   counting hashes a sorted, deduplicated fact list instead of comparing
-//!   whole `Database` values.
+//! * **Completion dedup via residual keys** — distinct-completion counting
+//!   hashes a sorted, deduplicated list of the resolved null-hosting facts
+//!   that miss the table's ground block
+//!   ([`Grounding::residual_key_into`](incdb_data::Grounding::residual_key_into))
+//!   instead of comparing whole `Database` values.
 //!
 //! Since the session refactor this module is the **policy** half of the
 //! engine: routing (shard or not, incremental or not), the sharding

@@ -17,9 +17,9 @@
 //! The session runs **one walk**, a depth-first search over valuations that
 //! hands what it finds to a sink ([`CompletionVisitor`]). The sink decides
 //! what the walk computes: [`CountValuations`] credits decided subtrees in
-//! closed form (#Val), [`CollectKeys`] fingerprints every satisfying leaf
-//! (#Comp), class-aware sinks count whole completion classes at the
-//! separation cut, and [`PageSink`] selects one bounded page of the
+//! closed form (#Val), [`CollectKeys`] dedups every satisfying leaf by
+//! residual key (#Comp), class-aware sinks count whole completion classes
+//! at the separation cut, and [`PageSink`] selects one bounded page of the
 //! canonical completion order. The walk starts at the root
 //! ([`walk`](SearchSession::walk), or [`count`](SearchSession::count) for
 //! #Val) or at a task prefix for work-stealing schedulers
@@ -81,9 +81,11 @@ pub enum ClassAction {
 /// `Refuted` subtrees are pruned before any hook sees a leaf. Distinct
 /// completions are **not** deduplicated at this layer — several valuations
 /// may induce the same completion, and [`leaf`] sees each of them.
-/// Deduplicate by completion key ([`Grounding::key_into`] over
+/// Deduplicate by residual key ([`Grounding::residual_key_into`] over
 /// [`Grounding::full_key_plan`]) when counting, as [`CollectKeys`] and the
-/// sharded counters of `incdb-stream` do.
+/// sharded counters of `incdb-stream` do; take the canonical key
+/// ([`Grounding::key_into`]) only for keys that leave the walk, as
+/// [`PageSink`] does.
 ///
 /// The `enter`, `leave`, `refuted`, `finished`, `generates` and `generated`
 /// hooks exist for [`PageSink`]: they track the summary node the walk is
@@ -109,11 +111,11 @@ pub trait CompletionVisitor {
     /// Called once per node at the plan's **separation cut** — the depth at
     /// which every remaining unbound null is separable
     /// ([`SearchSession::separation_cut`]). At such a node the non-clean
-    /// ("dirty") facts are fully resolved, so their partial key
-    /// ([`Grounding::key_into`] over the [`Grounding::key_plan`] of
-    /// [`SearchSession::class_facts`]) canonically names the node's
-    /// **completion class**: all leaves below share that dirty part, and
-    /// distinct separable assignments below it induce distinct completions.
+    /// ("dirty") facts are fully resolved, so their residual key
+    /// ([`Grounding::residual_key_into`] over the [`Grounding::key_plan`] of
+    /// [`SearchSession::class_facts`]) names the node's **completion
+    /// class**: all leaves below share that dirty part, and distinct
+    /// separable assignments below it induce distinct completions.
     /// `decided` reports whether an ancestor already proved the query
     /// `Satisfied`.
     ///
@@ -164,9 +166,8 @@ pub trait CompletionVisitor {
 }
 
 /// Extracts the canonical completion key ([`Grounding::key_into`] over
-/// [`Grounding::full_key_plan`]) at a fully bound leaf: a hash set of
-/// [`CompletionKey`]s counts distinct completions without ever building a
-/// [`Database`].
+/// [`Grounding::full_key_plan`]) at a fully bound leaf.
+#[cfg(test)]
 pub(crate) fn completion_key(g: &Grounding) -> CompletionKey {
     let mut key = CompletionKey::new();
     g.key_into(g.full_key_plan(), &mut key)
@@ -202,18 +203,25 @@ impl CompletionVisitor for CountValuations {
     }
 }
 
-/// The #Comp leaf sink: collects the canonical fingerprint of every
-/// satisfying leaf into a hash set, never stopping early. The set's size
-/// is the number of distinct satisfying completions seen.
+/// The #Comp leaf sink: collects the residual key
+/// ([`Grounding::residual_key_into`]) of every satisfying leaf into a hash
+/// set, never stopping early. Two leaves share a residual key iff they
+/// induce the same completion, so the set's size is the number of distinct
+/// satisfying completions seen — without copying the ground table into
+/// every key. A residual key names a completion only together with the
+/// table's ground block; page with [`PageSink`] for canonical keys.
 #[derive(Debug, Default)]
 pub struct CollectKeys {
-    /// The distinct completion keys seen so far.
+    /// The distinct residual keys seen so far.
     pub keys: HashSet<CompletionKey>,
 }
 
 impl CompletionVisitor for CollectKeys {
     fn leaf(&mut self, g: &Grounding) -> bool {
-        self.keys.insert(completion_key(g));
+        let mut key = CompletionKey::new();
+        g.residual_key_into(g.full_key_plan(), &mut key)
+            .expect("every null is bound at a leaf");
+        self.keys.insert(key);
         true
     }
 }
@@ -1389,7 +1397,7 @@ mod tests {
             panic!("a counting class visitor never descends to leaves");
         }
         fn class_node(&mut self, g: &Grounding, _decided: bool) -> ClassAction {
-            g.key_into(&self.plan, &mut self.scratch)
+            g.residual_key_into(&self.plan, &mut self.scratch)
                 .expect("dirty facts are resolved at the cut");
             if self.seen.contains(&self.scratch) {
                 return ClassAction::Skip;

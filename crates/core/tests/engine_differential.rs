@@ -313,10 +313,11 @@ fn missing_domain_is_an_error_on_every_path() {
     assert!(incdb_core::enumerate::all_completions(&db).is_err());
 }
 
-/// The class-counting sink: memoises each completion class (the resolved
-/// dirty facts at the separation cut) and counts it in closed form. Task
-/// walks that start below the cut never see a class node, so their leaves
-/// are deduplicated by full completion key instead.
+/// The class-counting sink: memoises each completion class (the residual
+/// key of the dirty facts at the separation cut) and counts it in closed
+/// form. Task walks that start below the cut never see a class node, so
+/// their leaves are deduplicated by the residual key of the whole
+/// completion instead.
 struct ClassCount {
     plan: KeyPlan,
     classes: HashSet<CompletionKey>,
@@ -344,13 +345,13 @@ impl ClassCount {
 impl CompletionVisitor for ClassCount {
     fn leaf(&mut self, g: &Grounding) -> bool {
         let mut key = CompletionKey::new();
-        g.key_into(g.full_key_plan(), &mut key).unwrap();
+        g.residual_key_into(g.full_key_plan(), &mut key).unwrap();
         self.leaves.insert(key);
         true
     }
 
     fn class_node(&mut self, g: &Grounding, _decided: bool) -> ClassAction {
-        g.key_into(&self.plan, &mut self.scratch).unwrap();
+        g.residual_key_into(&self.plan, &mut self.scratch).unwrap();
         if self.classes.insert(self.scratch.clone()) {
             ClassAction::Count
         } else {
@@ -360,6 +361,22 @@ impl CompletionVisitor for ClassCount {
 
     fn class_counted(&mut self, distinct: &BigNat) -> bool {
         self.total = &self.total + distinct;
+        true
+    }
+}
+
+/// Collects the canonical key of every satisfying leaf, deduplicated and
+/// sorted: the reference a full page drain must reproduce.
+#[derive(Default)]
+struct CanonicalLeaves {
+    keys: BTreeSet<CompletionKey>,
+}
+
+impl CompletionVisitor for CanonicalLeaves {
+    fn leaf(&mut self, g: &Grounding) -> bool {
+        let mut key = CompletionKey::new();
+        g.key_into(g.full_key_plan(), &mut key).unwrap();
+        self.keys.insert(key);
         true
     }
 }
@@ -441,9 +458,13 @@ fn every_sink_of_the_one_walk_matches_the_seed_and_composes_over_tasks() {
                 assert_eq!(classes.distinct(), expected_comps, "class #Comp {at}");
 
                 // 3. A full page drain is the sorted leaf keys, with and
-                // without a summary.
-                let mut sorted: Vec<CompletionKey> = leaves.keys.iter().cloned().collect();
-                sorted.sort();
+                // without a summary. Pages carry canonical keys, so the
+                // reference collects them itself (`CollectKeys` holds
+                // residual keys).
+                let mut canonical = CanonicalLeaves::default();
+                assert!(session.walk(&mut canonical));
+                assert_eq!(canonical.keys.len(), leaves.keys.len(), "leaf keys {at}");
+                let sorted: Vec<CompletionKey> = canonical.keys.into_iter().collect();
                 let size = rng.random_range(1usize..=5);
                 let cap = rng.random_range(1usize..=32);
                 assert_eq!(

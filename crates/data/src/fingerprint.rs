@@ -10,7 +10,9 @@
 //! materialising a [`Database`] — and the lexicographic
 //! order on fingerprints is a *total, stable* canonical order on
 //! completions, the order the streaming enumerator of `incdb-stream` pages
-//! through.
+//! through. Counters whose keys never leave the walk drop the ground block
+//! every completion shares and key on the rest
+//! ([`Grounding::residual_key_into`](crate::Grounding::residual_key_into)).
 //!
 //! On top of the key, [`fingerprint_hash`] maps every fingerprint to a
 //! 64-bit point, and a [`HashRange`] names a contiguous slice of that space.
@@ -35,6 +37,10 @@ use crate::value::Constant;
 /// indices follow the lexicographic relation order of the owning
 /// [`Grounding`](crate::Grounding) (see
 /// [`Grounding::relation_names`](crate::Grounding::relation_names)).
+/// The same type holds a residual key
+/// ([`Grounding::residual_key_into`](crate::Grounding::residual_key_into)):
+/// the fingerprint minus the table's ground block, which tells completions
+/// apart but names none on its own.
 pub type CompletionKey = Vec<(usize, Vec<Constant>)>;
 
 /// Materialises a canonical fingerprint as a [`Database`], declaring every
@@ -52,6 +58,20 @@ pub fn materialize_completion(rel_names: &[String], key: &CompletionKey) -> Data
             .expect("fingerprint tuples respect the relation arity");
     }
     out
+}
+
+/// The heap bytes one [`CompletionKey`] holds: its fact slots plus every
+/// tuple's constants, counted by allocated capacity. Budget reporting
+/// charges resident keys with it; a residual key
+/// ([`Grounding::residual_key_into`](crate::Grounding::residual_key_into))
+/// stays the same size however many ground facts the table holds.
+pub fn key_heap_bytes(key: &CompletionKey) -> usize {
+    let slots = key.capacity() * std::mem::size_of::<(usize, Vec<Constant>)>();
+    let tuples: usize = key
+        .iter()
+        .map(|(_, tuple)| tuple.capacity() * std::mem::size_of::<Constant>())
+        .sum();
+    slots + tuples
 }
 
 /// A bounded, reusable buffer of [`CompletionKey`]s in ascending canonical
@@ -521,5 +541,16 @@ mod tests {
         let two = HashRange { start: 8, last: 9 };
         let (a, b) = two.split().unwrap();
         assert_eq!((a.start, a.last, b.start, b.last), (8, 8, 9, 9));
+    }
+
+    #[test]
+    fn key_heap_bytes_counts_slots_and_tuples() {
+        let slot = std::mem::size_of::<(usize, Vec<Constant>)>();
+        let constant = std::mem::size_of::<Constant>();
+        assert_eq!(key_heap_bytes(&CompletionKey::new()), 0);
+        let k = key(&[(0, &[1, 2]), (1, &[3])]);
+        assert_eq!(key_heap_bytes(&k), 2 * slot + 3 * constant);
+        // A clone allocates exactly its length, so the figure is stable.
+        assert_eq!(key_heap_bytes(&k.clone()), key_heap_bytes(&k));
     }
 }

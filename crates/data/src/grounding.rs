@@ -183,14 +183,16 @@ pub struct Grounding {
     full_plan: OnceLock<KeyPlan>,
 }
 
-/// An assignment-independent skeleton for keying a fixed fact subset
-/// ([`Grounding::key_into`]): the template-ground members pre-sorted and
-/// deduplicated once, plus the indices of the null-hosting members that
-/// must be re-resolved per assignment. A key then costs one small sort over
-/// the null-hosting facts and a linear merge with the ground block —
-/// instead of re-collecting and re-sorting the whole table with a fresh
-/// tuple allocation per fact at every leaf, which dominated both the
-/// unbounded enumeration baseline and the streaming selection walks.
+/// An assignment-independent skeleton for keying a fixed fact subset: the
+/// template-ground members `G` pre-sorted and deduplicated once, plus the
+/// indices of the null-hosting members that must be re-resolved per
+/// assignment. Every assignment's key holds all of `G`, so a
+/// [residual key](Grounding::residual_key_into) — the resolved
+/// null-hosting facts minus `G`, one small sort plus a binary search per
+/// fact — already tells two assignments apart; the canonical
+/// [`key_into`](Grounding::key_into) key adds a linear merge with `G`.
+/// Neither re-collects and re-sorts the whole table with a fresh tuple
+/// allocation per fact at every leaf.
 ///
 /// Get one from [`Grounding::full_key_plan`] (every fact, cached) or
 /// [`Grounding::key_plan`] (a selected subset). Fact indices are
@@ -777,42 +779,58 @@ impl Grounding {
         KeyPlan { ground, null_hosts }
     }
 
+    /// Writes the **residual key** of `plan`'s facts under the current
+    /// assignment into a reusable buffer: the resolved null-hosting facts,
+    /// sorted and deduplicated, minus every fact of the plan's ground
+    /// block. The ground block is the same at every assignment, so two
+    /// assignments produce the same residual key iff the planned facts
+    /// resolve to the same fact set — exactly when their
+    /// [`key_into`](Grounding::key_into) keys are equal. Sinks whose keys
+    /// only deduplicate (distinct-completion counters) use it: a key costs
+    /// O(null-hosting facts), not a copy of the whole ground table.
+    ///
+    /// The residual key is sorted and disjoint from the ground block, but it
+    /// does **not** follow the canonical completion order; keys that leave
+    /// the walk (pages, cursors) use [`key_into`](Grounding::key_into).
+    ///
+    /// Returns an error naming the lowest-labelled unbound null among the
+    /// plan's facts if one of them is not fully resolved; the buffer's
+    /// contents are then unspecified.
+    pub fn residual_key_into(
+        &self,
+        plan: &KeyPlan,
+        key: &mut CompletionKey,
+    ) -> Result<(), DataError> {
+        let len = self.residual_prefix(plan, key)?;
+        key.truncate(len);
+        Ok(())
+    }
+
     /// Writes the canonical key of `plan`'s facts under the current
     /// assignment into a reusable buffer: their `(relation index, tuple)`
     /// pairs, sorted and deduplicated. Two assignments produce the same key
     /// iff the planned facts resolve to the same fact set, so the key of
     /// [`Grounding::full_key_plan`] names the completion and the key of a
-    /// partial plan names the induced sub-completion — counting distinct
-    /// keys counts distinct completions without building a [`Database`].
-    /// Hash a key with [`crate::fingerprint_hash`].
+    /// partial plan names the induced sub-completion. Its order is the
+    /// canonical completion order that pages and cursors follow. Hash a key
+    /// with [`crate::fingerprint_hash`].
     ///
-    /// Only the plan's null-hosting facts are resolved, each into a tuple
-    /// allocation already in `key`, then sorted and merged with the plan's
-    /// pre-sorted ground block. The merge runs back to front, so it needs no
-    /// side buffer.
+    /// The key is the [residual key](Grounding::residual_key_into) merged
+    /// with the plan's pre-sorted ground block. The two are sorted and
+    /// disjoint, so the merge runs back to front without a side buffer or
+    /// a final dedup, reusing the tuple allocations already in `key`.
     ///
     /// Returns an error naming the lowest-labelled unbound null among the
     /// plan's facts if one of them is not fully resolved; the buffer's
     /// contents are then unspecified.
     pub fn key_into(&self, plan: &KeyPlan, key: &mut CompletionKey) -> Result<(), DataError> {
-        let nf = plan.null_hosts.len();
-        let total = nf + plan.ground.len();
+        let residual = self.residual_prefix(plan, key)?;
+        let total = residual + plan.ground.len();
         key.resize_with(total, Default::default);
-        for (slot, &f) in key.iter_mut().zip(&plan.null_hosts) {
-            slot.0 = self.fact_rel[f as usize] as usize;
-            slot.1.clear();
-            for v in self.fact_values(f as usize) {
-                match v {
-                    Value::Const(c) => slot.1.push(*c),
-                    Value::Null(_) => return Err(self.unbound_in_plan(plan)),
-                }
-            }
-        }
-        key[..nf].sort_unstable();
-        // Backward merge: `key[..i]` holds the still-unmerged resolved
+        // Backward merge: `key[..i]` holds the still-unmerged residual
         // facts, `w = i + j` slots remain to fill, so the write position
         // never collides with an unread one.
-        let mut i = nf;
+        let mut i = residual;
         let mut j = plan.ground.len();
         let mut w = total;
         while j > 0 {
@@ -829,12 +847,43 @@ impl Grounding {
                 slot.1.extend_from_slice(tuple);
             }
         }
-        key.dedup();
         Ok(())
     }
 
-    /// The error of [`Grounding::key_into`] on a plan with an unresolved
-    /// fact: the lowest-labelled unbound null among the plan's facts.
+    /// The one resolution step behind both key builders: resolves the
+    /// plan's null-hosting facts into the first slots of `key` (reusing
+    /// their tuple allocations), sorts them, and compacts the distinct ones
+    /// absent from the ground block to the front. Returns the residual
+    /// length; slots past it keep their allocations for the caller.
+    fn residual_prefix(&self, plan: &KeyPlan, key: &mut CompletionKey) -> Result<usize, DataError> {
+        let nf = plan.null_hosts.len();
+        if key.len() < nf {
+            key.resize_with(nf, Default::default);
+        }
+        for (slot, &f) in key.iter_mut().zip(&plan.null_hosts) {
+            slot.0 = self.fact_rel[f as usize] as usize;
+            slot.1.clear();
+            for v in self.fact_values(f as usize) {
+                match v {
+                    Value::Const(c) => slot.1.push(*c),
+                    Value::Null(_) => return Err(self.unbound_in_plan(plan)),
+                }
+            }
+        }
+        key[..nf].sort_unstable();
+        let mut len = 0;
+        for i in 0..nf {
+            let repeat = len > 0 && key[i] == key[len - 1];
+            if !repeat && plan.ground.binary_search(&key[i]).is_err() {
+                key.swap(len, i);
+                len += 1;
+            }
+        }
+        Ok(len)
+    }
+
+    /// The error of the key builders on a plan with an unresolved fact:
+    /// the lowest-labelled unbound null among the plan's facts.
     #[cold]
     fn unbound_in_plan(&self, plan: &KeyPlan) -> DataError {
         let null = plan
@@ -1567,19 +1616,25 @@ mod tests {
         assert_eq!(g.fact_count(), 2);
     }
 
-    /// Every plan's key must be byte-identical to the rebuild-and-sort
-    /// reference at every assignment and for every include mask —
-    /// including assignments where resolved null facts collide with ground
-    /// facts or each other, so dedup fires across the merge boundary.
-    #[test]
-    fn key_plans_reproduce_the_rebuild_reference_exactly() {
+    /// Five facts whose resolutions collide with a ground fact and with
+    /// each other, so dedup fires across the ground-block boundary.
+    fn collision_instance() -> IncompleteDatabase {
         let mut db = IncompleteDatabase::new_uniform([0u64, 1, 2]);
         db.add_fact("R", vec![c(1), c(2)]).unwrap(); // collides with ⊥0=1,⊥1=2
         db.add_fact("R", vec![c(5), c(6)]).unwrap();
         db.add_fact("R", vec![n(0), n(1)]).unwrap();
         db.add_fact("R", vec![n(1), n(0)]).unwrap(); // collides when ⊥0=⊥1
         db.add_fact("S", vec![n(2), c(9)]).unwrap();
-        let mut g = db.try_grounding().unwrap();
+        db
+    }
+
+    /// Every plan's key must be byte-identical to the rebuild-and-sort
+    /// reference at every assignment and for every include mask —
+    /// including assignments where resolved null facts collide with ground
+    /// facts or each other, so dedup fires across the merge boundary.
+    #[test]
+    fn key_plans_reproduce_the_rebuild_reference_exactly() {
+        let mut g = collision_instance().try_grounding().unwrap();
 
         // The rebuild-and-sort reference: collect the included facts'
         // resolved tuples afresh, then sort and deduplicate.
@@ -1648,5 +1703,84 @@ mod tests {
                 Err(e) => panic!("unexpected error {e:?}"),
             }
         }
+    }
+
+    /// The residual key is the full key minus the plan's ground block, for
+    /// every include mask and assignment of the collision instance:
+    /// it shares no fact with the block, merging the two gives exactly
+    /// `key_into`, and two residual keys are equal iff their full keys are.
+    #[test]
+    fn residual_keys_are_the_full_key_minus_the_ground_block() {
+        let mut g = collision_instance().try_grounding().unwrap();
+        let masks: Vec<Vec<bool>> = (0..32u32)
+            .map(|m| (0..5).map(|f| m >> f & 1 == 1).collect())
+            .collect();
+        let plans: Vec<KeyPlan> = masks.iter().map(|m| g.key_plan(m)).collect();
+        // Per mask, the (residual, full) key pair of every assignment.
+        let mut seen: Vec<Vec<(CompletionKey, CompletionKey)>> = vec![Vec::new(); masks.len()];
+        let mut residual = CompletionKey::new();
+        let mut full = CompletionKey::new();
+        for a in 0..3u64 {
+            for b in 0..3u64 {
+                for s in 0..3u64 {
+                    g.reset();
+                    g.bind(NullId(0), Constant(a)).unwrap();
+                    g.bind(NullId(1), Constant(b)).unwrap();
+                    g.bind(NullId(2), Constant(s)).unwrap();
+                    for (m, plan) in plans.iter().enumerate() {
+                        g.residual_key_into(plan, &mut residual).unwrap();
+                        g.key_into(plan, &mut full).unwrap();
+                        let at = format!("{:?} at ({a},{b},{s})", masks[m]);
+                        assert!(residual.windows(2).all(|w| w[0] < w[1]), "{at}");
+                        assert!(
+                            residual
+                                .iter()
+                                .all(|f| plan.ground.binary_search(f).is_err()),
+                            "residual meets the ground block: {at}"
+                        );
+                        let mut merged: CompletionKey =
+                            residual.iter().chain(&plan.ground).cloned().collect();
+                        merged.sort_unstable();
+                        assert_eq!(merged, full, "{at}");
+                        seen[m].push((residual.clone(), full.clone()));
+                    }
+                }
+            }
+        }
+        for pairs in &seen {
+            for (r1, f1) in pairs {
+                for (r2, f2) in pairs {
+                    assert_eq!(r1 == r2, f1 == f2);
+                }
+            }
+        }
+    }
+
+    /// A null-hosting fact that resolves onto a ground fact leaves nothing
+    /// behind: the residual key is empty and the full key is the ground
+    /// block alone.
+    #[test]
+    fn a_fact_resolved_onto_the_ground_block_has_an_empty_residual() {
+        let mut db = IncompleteDatabase::new_uniform([0u64, 1]);
+        db.add_fact("R", vec![c(0), c(1)]).unwrap();
+        db.add_fact("R", vec![n(0), c(1)]).unwrap();
+        let mut g = db.try_grounding().unwrap();
+        let plan = g.full_key_plan().clone();
+        let mut key = CompletionKey::new();
+        g.bind(NullId(0), Constant(0)).unwrap();
+        g.residual_key_into(&plan, &mut key).unwrap();
+        assert!(key.is_empty());
+        g.key_into(&plan, &mut key).unwrap();
+        assert_eq!(key, vec![(0, vec![Constant(0), Constant(1)])]);
+        // The other value escapes the block and is the whole residual.
+        g.bind(NullId(0), Constant(1)).unwrap();
+        g.residual_key_into(&plan, &mut key).unwrap();
+        assert_eq!(key, vec![(0, vec![Constant(1), Constant(1)])]);
+        // An unbound fact errors through the residual builder too.
+        g.unbind(NullId(0));
+        assert!(matches!(
+            g.residual_key_into(&plan, &mut key),
+            Err(DataError::IncompleteValuation { null: NullId(0) })
+        ));
     }
 }

@@ -58,7 +58,7 @@ pub use database::{Database, GroundFact};
 pub use domain::{Domain, DomainAssignment};
 pub use error::DataError;
 pub use fingerprint::{
-    fingerprint_hash, materialize_completion, CompletionKey, HashRange, PageHeap,
+    fingerprint_hash, key_heap_bytes, materialize_completion, CompletionKey, HashRange, PageHeap,
 };
 pub use grounding::{Grounding, KeyPlan, Occurrence, Separability, Splice};
 pub use incomplete::{DeltaOp, IncompleteDatabase, IncompleteFact, NullDomains, DELTA_LOG_CAP};

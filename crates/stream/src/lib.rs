@@ -16,7 +16,12 @@
 //!   space ([`incdb_data::fingerprint_hash`]) is partitioned into
 //!   [`incdb_data::HashRange`]s; each shard re-walks the search counting
 //!   only the fingerprints in its range, and the disjoint shard sizes are
-//!   summed. Fixed partitions ([`count_completions_sharded`]) give `K`
+//!   summed. These fingerprints never leave the walk, so they are
+//!   residual keys
+//!   ([`Grounding::residual_key_into`](incdb_data::Grounding::residual_key_into)):
+//!   a completion's resolved null-hosting facts minus the table's ground
+//!   block, whose size ([`ShardedCount::peak_resident_bytes`]) does not
+//!   grow with the ground table. Fixed partitions ([`count_completions_sharded`]) give `K`
 //!   passes at `≈ 1/K` memory; the budgeted driver
 //!   ([`count_completions_budgeted`]) starts unsharded and adaptively
 //!   splits exactly the hash ranges that overflow the budget, with shards
@@ -29,10 +34,11 @@
 //!   [`ShardedCount::walks_reused`]).
 //! * **Resumable canonical-order enumeration** ([`stream`]). A
 //!   [`CompletionStream`] yields distinct completions in the canonical
-//!   fingerprint-lexicographic order, one `page_size`-bounded selection
-//!   walk per page, with a serializable keyset [`Cursor`] ([`cursor`]) —
-//!   pause, persist the cursor string, and resume the exact sequence in a
-//!   fresh process. The paging primitive a request-serving layer needs.
+//!   fingerprint-lexicographic order of full canonical keys
+//!   ([`Grounding::key_into`](incdb_data::Grounding::key_into)), one
+//!   `page_size`-bounded selection walk per page, with a serializable
+//!   keyset [`Cursor`] ([`cursor`]) — pause, persist the cursor string,
+//!   and resume the exact sequence in a fresh process. The paging primitive a request-serving layer needs.
 //!   The stream holds its session across pages, and
 //!   [`CompletionStream::with_threads`] shards each selection walk across
 //!   work-stealing workers (merging their bounded heaps) for multicore

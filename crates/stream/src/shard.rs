@@ -4,7 +4,7 @@
 //!
 //! The engine's in-memory distinct counter
 //! ([`CountingEngine::count_completions`](incdb_core::engine::CountingEngine::count_completions))
-//! holds **every** canonical fingerprint at once, so its search speedups
+//! holds **every** completion's fingerprint at once, so its search speedups
 //! hit a memory wall long before a CPU wall. This module trades passes for
 //! memory: the fingerprint hash space is partitioned into [`HashRange`]
 //! shards, and the backtracking search keeps only the fingerprints whose
@@ -32,7 +32,11 @@
 //!   Completions sharing a *dirty part* (the resolved facts that could
 //!   collide) form a class whose members are pairwise distinct, so one
 //!   memoised dirty-part fingerprint plus a closed-form subtree count
-//!   replaces one resident fingerprint **per completion**. On instances
+//!   replaces one resident fingerprint **per completion**. The fingerprint
+//!   is a residual key ([`Grounding::residual_key_into`]): the resolved
+//!   null-hosting dirty facts minus the ground block every class
+//!   shares, so a resident key costs O(null occurrences), not a copy of
+//!   the ground table ([`ShardedCount::peak_resident_bytes`]). On instances
 //!   with no separable nulls the cut sits at the leaves and the sink
 //!   degrades to exactly the old per-completion behaviour.
 //!
@@ -66,7 +70,8 @@ use incdb_bignum::{BigNat, NatAccumulator};
 use incdb_core::engine::{CompletionVisitor, TaskQueue};
 use incdb_core::session::{ClassAction, SearchSession};
 use incdb_data::{
-    fingerprint_hash, CompletionKey, DataError, Grounding, HashRange, IncompleteDatabase, KeyPlan,
+    fingerprint_hash, key_heap_bytes, CompletionKey, DataError, Grounding, HashRange,
+    IncompleteDatabase, KeyPlan,
 };
 use incdb_query::BooleanQuery;
 
@@ -85,6 +90,12 @@ pub struct ShardedCount {
     /// astronomically unlikely unsplittable-hash-point case documented
     /// there.
     pub peak_resident_fingerprints: usize,
+    /// The high-water mark of the resident class keys' heap bytes
+    /// ([`key_heap_bytes`]) in any single walk, sampled with
+    /// `peak_resident_fingerprints`. Class keys are residual keys
+    /// ([`Grounding::residual_key_into`]), so this figure does not grow
+    /// with the table's ground facts.
+    pub peak_resident_bytes: usize,
     /// Search-tree walks performed. Each walk serves a whole batch of
     /// ranges, so this is `min(threads, ranges)` for a fixed partition and
     /// `1 + follow-ups` under a budget — the pass count is the price paid
@@ -118,8 +129,8 @@ pub struct ShardedCount {
 /// One hash range being served by the current walk.
 struct ActiveRange {
     range: HashRange,
-    /// Memoised class fingerprints (dirty-part keys; full completion keys
-    /// when nothing is separable) whose hash falls in `range`.
+    /// Memoised class keys (residual keys of the dirty part; of the whole
+    /// completion when nothing is separable) whose hash falls in `range`.
     keys: HashSet<CompletionKey>,
     /// Distinct completions credited to this range so far.
     acc: NatAccumulator,
@@ -147,10 +158,11 @@ struct MultiRangeSink<'a> {
     /// index, kept parallel to `ranges`.
     spans: Vec<HashRange>,
     ranges: Vec<ActiveRange>,
-    /// Precomputed fingerprint skeleton of the class facts
+    /// Precomputed key skeleton of the class facts
     /// ([`SearchSession::class_facts`], everything that is not provably
-    /// separable): the ground members pre-sorted once, so each class node
-    /// pays a merge instead of a full sort.
+    /// separable): each class node resolves only its null-hosting facts
+    /// into a residual key and looks them up in the pre-sorted ground
+    /// block, never copying that block.
     plan: &'a KeyPlan,
     /// Maximum resident keys across the whole batch; `None` is unbounded.
     budget: Option<usize>,
@@ -159,6 +171,10 @@ struct MultiRangeSink<'a> {
     /// High-water mark of `resident`, sampled when a key is kept — classes
     /// that count zero completions are removed again and never peak.
     peak: usize,
+    /// Current heap bytes of the resident keys, and their high-water mark
+    /// sampled with `peak`.
+    resident_bytes: usize,
+    peak_bytes: usize,
     /// Live (non-evicted) ranges remaining.
     live: usize,
     evictions: usize,
@@ -191,6 +207,8 @@ impl<'a> MultiRangeSink<'a> {
             budget,
             resident: 0,
             peak: 0,
+            resident_bytes: 0,
+            peak_bytes: 0,
             evictions: 0,
             deferred: Vec::new(),
             scratch: CompletionKey::new(),
@@ -243,6 +261,7 @@ impl<'a> MultiRangeSink<'a> {
         let r = &mut self.ranges[i];
         debug_assert!(!r.evicted);
         self.resident -= r.keys.len();
+        self.resident_bytes -= r.keys.iter().map(key_heap_bytes).sum::<usize>();
         r.keys = HashSet::new();
         r.acc = NatAccumulator::new();
         r.evicted = true;
@@ -257,7 +276,7 @@ impl CompletionVisitor for MultiRangeSink<'_> {
     }
 
     fn class_node(&mut self, g: &Grounding, _decided: bool) -> ClassAction {
-        g.key_into(self.plan, &mut self.scratch)
+        g.residual_key_into(self.plan, &mut self.scratch)
             .expect("every non-separable null is bound at the cut");
         let hash = fingerprint_hash(&self.scratch);
         let Some(i) = HashRange::find(&self.spans, hash) else {
@@ -279,7 +298,9 @@ impl CompletionVisitor for MultiRangeSink<'_> {
                 };
             }
         }
-        self.ranges[i].keys.insert(self.scratch.clone());
+        let key = self.scratch.clone();
+        self.resident_bytes += key_heap_bytes(&key);
+        self.ranges[i].keys.insert(key);
         self.resident += 1;
         self.pending = Some(i);
         ClassAction::Count
@@ -291,11 +312,16 @@ impl CompletionVisitor for MultiRangeSink<'_> {
             // No satisfying completion in the class: un-memoise it, so
             // only satisfying classes occupy the budget. Re-deriving a
             // zero count on a later encounter is sound.
-            self.ranges[i].keys.remove(&self.scratch);
+            let key = self.ranges[i]
+                .keys
+                .take(&self.scratch)
+                .expect("class_node inserted the pending key");
             self.resident -= 1;
+            self.resident_bytes -= key_heap_bytes(&key);
         } else {
             self.ranges[i].acc.add_big(distinct);
             self.peak = self.peak.max(self.resident);
+            self.peak_bytes = self.peak_bytes.max(self.resident_bytes);
         }
         true
     }
@@ -405,6 +431,7 @@ fn run_shards<Q: BooleanQuery + Sync + ?Sized>(
         // every live range's count is complete either way.
         debug_assert!(completed || sink.live == 0);
         tally.peak_resident_fingerprints = tally.peak_resident_fingerprints.max(sink.peak);
+        tally.peak_resident_bytes = tally.peak_resident_bytes.max(sink.peak_bytes);
         tally.evictions += sink.evictions;
         for r in sink.ranges.into_iter().filter(|r| !r.evicted) {
             tally.count += r.acc.into_total();
@@ -424,6 +451,7 @@ fn run_shards<Q: BooleanQuery + Sync + ?Sized>(
         total.peak_resident_fingerprints = total
             .peak_resident_fingerprints
             .max(tally.peak_resident_fingerprints);
+        total.peak_resident_bytes = total.peak_resident_bytes.max(tally.peak_resident_bytes);
         total.passes += tally.passes;
         total.counted_shards += tally.counted_shards;
         total.ranges_walked += tally.ranges_walked;
@@ -620,5 +648,6 @@ mod tests {
         let none = count_completions_budgeted(&empty, &q, 4, 2).unwrap();
         assert_eq!(none.count, BigNat::zero());
         assert_eq!(none.peak_resident_fingerprints, 0);
+        assert_eq!(none.peak_resident_bytes, 0);
     }
 }

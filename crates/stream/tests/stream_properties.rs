@@ -14,13 +14,16 @@
 //!   exceeds the budget still counts exactly, with peak resident
 //!   fingerprints within the budget.
 
-use incdb_core::engine::{BacktrackingEngine, CountingEngine, Tautology};
+use incdb_bignum::BigNat;
+use incdb_core::engine::{BacktrackingEngine, CountingEngine, NaiveEngine, Tautology};
 use incdb_data::{IncompleteDatabase, NullId, Value};
-use incdb_query::Bcq;
+use incdb_query::{Bcq, BooleanQuery};
 use incdb_stream::{
     count_completions_budgeted, count_completions_sharded, CompletionStream, Cursor,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const NULL_POOL: u32 = 4;
 
@@ -174,6 +177,106 @@ proptest! {
                 replay.push(again.cursor().last_key().unwrap().clone());
             }
             prop_assert_eq!(&keys, &replay, "order unstable for {}", q);
+        }
+    }
+}
+
+/// A random instance in which some valuation resolves a null-hosting fact
+/// onto a ground fact: every null-hosting fact comes with a ground copy of
+/// one of its resolutions, so residual keys (which drop what the ground
+/// block already holds) are exercised where they differ most from full
+/// keys — including the empty residual key.
+fn colliding_instance(rng: &mut StdRng) -> IncompleteDatabase {
+    let mut db = IncompleteDatabase::new_non_uniform();
+    let mut domains = Vec::new();
+    for i in 0..NULL_POOL {
+        let mask = rng.random_range(1usize..8);
+        let values: Vec<u64> = (0..3u64).filter(|b| mask & (1 << b) != 0).collect();
+        db.set_domain(NullId(i), values.clone()).unwrap();
+        domains.push(values);
+    }
+    let resolve = |v: Value, rng: &mut StdRng| match v.as_null() {
+        Some(n) => {
+            let dom = &domains[n.0 as usize];
+            Value::constant(dom[rng.random_range(0..dom.len())])
+        }
+        None => v,
+    };
+    for _ in 0..rng.random_range(1usize..=3) {
+        // The first position always hosts a null.
+        let mut fact = vec![Value::null(rng.random_range(0..NULL_POOL))];
+        let relation = if rng.random_bool(0.7) {
+            fact.push(decode_value(rng.random_range(0usize..7)));
+            "R"
+        } else {
+            "S"
+        };
+        let ground: Vec<Value> = fact.iter().map(|&v| resolve(v, rng)).collect();
+        db.add_fact(relation, fact).unwrap();
+        db.add_fact(relation, ground).unwrap();
+    }
+    db
+}
+
+/// Budgeted, sharded and engine distinct counts — all keyed by residual
+/// keys — agree with the materialising `NaiveEngine` on instances whose
+/// ground facts some valuations resolve onto.
+#[test]
+fn residual_key_counters_match_the_naive_engine_on_colliding_instances() {
+    let mut rng = StdRng::seed_from_u64(0x5e51_d0a1);
+    let stealing = BacktrackingEngine::with_threads(2).with_parallel_threshold(1);
+    for case in 0..16 {
+        let db = colliding_instance(&mut rng);
+        for q in queries() {
+            let expected = NaiveEngine.count_completions(&db, &q).unwrap();
+            check_residual_counters(&db, &q, &expected, &stealing, &format!("case {case} {q}"));
+        }
+        let expected = NaiveEngine.count_all_completions(&db).unwrap();
+        check_residual_counters(
+            &db,
+            &Tautology,
+            &expected,
+            &stealing,
+            &format!("case {case} all"),
+        );
+    }
+}
+
+/// One instance and query of the residual-key differential.
+fn check_residual_counters<Q: BooleanQuery + Sync>(
+    db: &IncompleteDatabase,
+    q: &Q,
+    expected: &BigNat,
+    stealing: &BacktrackingEngine,
+    at: &str,
+) {
+    let at = format!("{at} {db:?}");
+    let sequential = BacktrackingEngine::sequential();
+    assert_eq!(
+        &sequential.count_completions(db, q).unwrap(),
+        expected,
+        "engine {at}"
+    );
+    assert_eq!(
+        &stealing.count_completions(db, q).unwrap(),
+        expected,
+        "stealing {at}"
+    );
+    for threads in [1usize, 2] {
+        for budget in 1usize..=8 {
+            let result = count_completions_budgeted(db, q, budget, threads).unwrap();
+            assert_eq!(
+                &result.count, expected,
+                "budget {budget} threads {threads} {at}"
+            );
+            assert!(result.peak_resident_fingerprints <= budget, "{at}");
+        }
+        for shards in [1usize, 3, 7] {
+            let result = count_completions_sharded(db, q, shards, threads).unwrap();
+            assert_eq!(
+                &result.count, expected,
+                "{shards} shards threads {threads} {at}"
+            );
         }
     }
 }
