@@ -9,9 +9,9 @@
 //!
 //! * `naive` — the seed clone-and-check loop ([`NaiveEngine`]);
 //! * `engine_scratch` — the PR 2 engine: same search, but re-running
-//!   `holds_partial` from scratch at every node
-//!   ([`BacktrackingEngine::without_incremental`]); the `incremental_*` and
-//!   `skewed_*` rows measure the PR 3 evaluator/scheduler against it;
+//!   `holds_partial` from scratch at every node (the sequential engine over
+//!   [`FromScratch`] of the query); the `incremental_*` and `skewed_*` rows
+//!   measure the incremental evaluator and scheduler against it;
 //! * `closed_form` — the Theorem 3.9 / 4.6 polynomial algorithms; the
 //!   `tiny_*` rows measure them against search on instances of 16–256
 //!   valuations. The solver routes to the closed forms at every size.
@@ -74,13 +74,13 @@ use incdb_bench::{
 use incdb_bignum::{BigNat, NatAccumulator};
 use incdb_core::algorithms::val_uniform;
 use incdb_core::engine::{
-    BacktrackingEngine, CompletionVisitor, CountingEngine, NaiveEngine, Tautology,
+    BacktrackingEngine, CompletionVisitor, CountingEngine, NaiveEngine, SearchSession, Tautology,
 };
 use incdb_data::{
     CompletionKey, Constant, Database, Grounding, HashRange, IncompleteDatabase, NullId, Value,
 };
 use incdb_query::{
-    Bcq, BcqResidual, BooleanQuery, Homomorphism, PartialOutcome, ResidualState, Term,
+    Bcq, BcqResidual, BooleanQuery, FromScratch, Homomorphism, PartialOutcome, ResidualState, Term,
 };
 use incdb_serve::{MaintenancePolicy, Outcome, Request, ServeNode, Tenant};
 use incdb_stream::{all_completions_stream, count_completions_budgeted, count_completions_sharded};
@@ -121,11 +121,6 @@ fn skewed_instance(nulls: u32, domain: u64) -> (IncompleteDatabase, Bcq) {
         skewed_switch_cycle(nulls, domain),
         "S(0), R(x,x)".parse().unwrap(),
     )
-}
-
-/// The PR 2 engine: from-scratch residual evaluation per node.
-fn scratch_engine() -> BacktrackingEngine {
-    BacktrackingEngine::sequential().without_incremental()
 }
 
 fn bench_refuted(c: &mut Criterion) {
@@ -172,7 +167,11 @@ fn bench_hard(c: &mut Criterion) {
             b.iter(|| NaiveEngine.count_valuations(db, &q).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("engine_scratch", nulls), &db, |b, db| {
-            b.iter(|| scratch_engine().count_valuations(db, &q).unwrap());
+            b.iter(|| {
+                BacktrackingEngine::sequential()
+                    .count_valuations(db, &FromScratch(&q))
+                    .unwrap()
+            });
         });
         group.bench_with_input(BenchmarkId::new("engine", nulls), &db, |b, db| {
             b.iter(|| {
@@ -198,7 +197,11 @@ fn bench_skewed(c: &mut Criterion) {
     for nulls in [8u32, 10] {
         let (db, q) = skewed_instance(nulls, 3);
         group.bench_with_input(BenchmarkId::new("engine_scratch", nulls), &db, |b, db| {
-            b.iter(|| scratch_engine().count_valuations(db, &q).unwrap());
+            b.iter(|| {
+                BacktrackingEngine::sequential()
+                    .count_valuations(db, &FromScratch(&q))
+                    .unwrap()
+            });
         });
         group.bench_with_input(BenchmarkId::new("engine", nulls), &db, |b, db| {
             b.iter(|| {
@@ -273,22 +276,24 @@ impl JsonRow {
 }
 
 /// Measures one engine-vs-engine comparison (checking agreement first).
-fn engine_row(
+/// The baseline engine counts `baseline_q` — `q` itself, or
+/// [`FromScratch`] of it for the `engine_scratch` rows.
+fn engine_row<B: BooleanQuery + Sync + ?Sized>(
     name: &'static str,
     baseline_label: &'static str,
     db: &IncompleteDatabase,
     q: &Bcq,
-    baseline: &BacktrackingEngine,
+    (baseline, baseline_q): (&BacktrackingEngine, &B),
     engine: &BacktrackingEngine,
     runs: usize,
 ) -> JsonRow {
     assert_eq!(
-        baseline.count_valuations(db, q).unwrap(),
+        baseline.count_valuations(db, baseline_q).unwrap(),
         engine.count_valuations(db, q).unwrap(),
         "engines disagree on {name}"
     );
     let naive_ns = median_ns(runs, || {
-        baseline.count_valuations(db, q).unwrap();
+        baseline.count_valuations(db, baseline_q).unwrap();
     });
     let engine_ns = median_ns(runs, || {
         engine.count_valuations(db, q).unwrap();
@@ -427,7 +432,7 @@ fn write_json_report(fast: bool) {
             "engine_scratch",
             &db,
             &q,
-            &scratch_engine(),
+            (&BacktrackingEngine::sequential(), &FromScratch(&q)),
             &BacktrackingEngine::sequential(),
             runs,
         ));
@@ -438,7 +443,7 @@ fn write_json_report(fast: bool) {
             "engine_scratch",
             &db,
             &q,
-            &scratch_engine(),
+            (&BacktrackingEngine::sequential(), &FromScratch(&q)),
             &BacktrackingEngine::sequential(),
             runs,
         ));
@@ -455,7 +460,7 @@ fn write_json_report(fast: bool) {
             "engine_scratch",
             &db,
             &q,
-            &scratch_engine(),
+            (&BacktrackingEngine::sequential(), &FromScratch(&q)),
             &BacktrackingEngine::default(),
             runs,
         ));
@@ -464,7 +469,7 @@ fn write_json_report(fast: bool) {
             "engine_sequential",
             &db,
             &q,
-            &BacktrackingEngine::sequential(),
+            (&BacktrackingEngine::sequential(), &q),
             &BacktrackingEngine::with_threads(4).with_parallel_threshold(1),
             runs,
         ));
@@ -698,12 +703,11 @@ fn write_json_report(fast: bool) {
                 true
             }
         }
-        // The pre-refactor driver: every hash range pays a fresh engine
-        // walk — grounding rebuild, residual recompilation, order
-        // re-derivation — exactly what `run_shards` did before the session
-        // layer.
+        // The pre-refactor loop: every hash range builds a fresh session
+        // and walks it once — grounding rebuild, residual recompilation,
+        // order re-derivation — exactly what `run_shards` did before the
+        // session layer.
         let rebuild_per_range = || {
-            let engine = BacktrackingEngine::sequential();
             let mut total = 0usize;
             for range in HashRange::partition(REUSE_SHARDS) {
                 let mut sink = RangeCount {
@@ -711,7 +715,7 @@ fn write_json_report(fast: bool) {
                     set: HashSet::new(),
                     scratch: CompletionKey::new(),
                 };
-                engine.visit_completions(&db, &q, &mut sink).unwrap();
+                SearchSession::new(&db, &q).unwrap().walk(&mut sink);
                 total += sink.set.len();
             }
             total
@@ -1037,7 +1041,7 @@ fn write_json_report(fast: bool) {
             "engine_scratch",
             &db,
             &q,
-            &scratch_engine(),
+            (&BacktrackingEngine::sequential(), &FromScratch(&q)),
             &BacktrackingEngine::sequential(),
             runs.min(3),
         ));

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use incdb_bench::{bounded_stream_large_instance, large_ground_instance, merge_join_instance};
 use incdb_bignum::BigNat;
 use incdb_core::engine::{BacktrackingEngine, CountingEngine, Tautology};
-use incdb_query::Bcq;
+use incdb_query::{Bcq, FromScratch};
 use incdb_stream::count_completions_budgeted;
 
 /// 10⁵ ground facts in release, shrunk 5× under the debug oracles.
@@ -35,8 +35,7 @@ fn large_instance_count_stays_exact_and_bounded() {
         .count_valuations(&db, &q)
         .unwrap();
     let scratch = BacktrackingEngine::sequential()
-        .without_incremental()
-        .count_valuations(&db, &q)
+        .count_valuations(&db, &FromScratch(&q))
         .unwrap();
     assert_eq!(
         incremental, scratch,
@@ -111,21 +110,22 @@ fn large_instance_merge_join_agrees_across_the_crossover() {
     let r_facts = FACTS / 2;
     let db = merge_join_instance(32, r_facts - 33, r_facts);
     let q: Bcq = "R(0, x), S(x, y)".parse().unwrap();
-    let forced = BacktrackingEngine::sequential()
-        .with_merge_join_min_rows(0)
+    // Both join sides sit far above the default crossover, so the
+    // incremental evaluator merges; the from-scratch reference decides
+    // each node by a partial-homomorphism search with no join routing.
+    let merged = BacktrackingEngine::sequential()
         .count_valuations(&db, &q)
         .unwrap();
-    let disabled = BacktrackingEngine::sequential()
-        .with_merge_join_min_rows(u64::MAX)
-        .count_valuations(&db, &q)
+    let scratch = BacktrackingEngine::sequential()
+        .count_valuations(&db, &FromScratch(&q))
         .unwrap();
     assert_eq!(
-        forced, disabled,
-        "merge and backtracking joins disagree on the disjoint-key instance"
+        merged, scratch,
+        "the merge join and the from-scratch search disagree on the disjoint-key instance"
     );
     // The key sets are disjoint in every completion: no valuation
     // satisfies the join.
-    assert_eq!(forced, BigNat::zero());
+    assert_eq!(merged, BigNat::zero());
     assert!(
         start.elapsed() < TIME_CEILING,
         "large-instance merge-join count took {:?} (ceiling {TIME_CEILING:?})",

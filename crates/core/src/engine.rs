@@ -19,9 +19,9 @@
 //!   [`ResidualState`](incdb_query::ResidualState) synced through the
 //!   grounding's dirty-null channel. A `Refuted` answer discards the whole
 //!   subtree; a `Satisfied` answer counts it in closed form. The
-//!   from-scratch path survives behind
-//!   [`BacktrackingEngine::without_incremental`] as the differential /
-//!   benchmark baseline (the PR 2 engine).
+//!   from-scratch per-node test is a query adapter,
+//!   [`FromScratch`](incdb_query::FromScratch), which runs this same search
+//!   without a residual state: the differential and benchmark reference.
 //! * **Domain-size-aware ordering** — nulls are explored smallest-domain
 //!   first (ties broken towards frequently occurring nulls), which keeps the
 //!   branching factor low near the root where pruning pays the most.
@@ -41,12 +41,12 @@
 //!   instead of comparing whole `Database` values.
 //!
 //! Since the session refactor this module is the **policy** half of the
-//! engine: routing (shard or not, incremental or not), the sharding
-//! threshold and merge-join crossover with their builder methods, and the
-//! [`TaskQueue`] scheduler that every parallel loop of the workspace
-//! (engine counts, page fills, shard batches, serve batches) runs on. The
-//! **mechanism** — the walks themselves, with their persistent grounding /
-//! residual-state / search-plan context — lives in [`crate::session`] as
+//! engine: routing (shard or not), the sharding threshold with its builder
+//! method, and the [`TaskQueue`] scheduler that every parallel loop of the
+//! workspace (engine counts, page fills, shard batches, serve batches) runs
+//! on. The **mechanism** — the walks themselves, with their persistent
+//! grounding / residual-state / search-plan context — lives in
+//! [`crate::session`] as
 //! [`SearchSession`]; every engine entry point builds one session and
 //! drives it, and long-lived callers (the sharded counters and paging
 //! streams of `incdb-stream`) hold sessions of their own so consecutive
@@ -65,7 +65,7 @@ use std::thread;
 
 use incdb_bignum::{BigNat, NatAccumulator};
 use incdb_data::{Constant, DataError, Database, Grounding, IncompleteDatabase};
-use incdb_query::{BooleanQuery, PartialOutcome, DEFAULT_MERGE_JOIN_MIN_ROWS};
+use incdb_query::{BooleanQuery, PartialOutcome};
 
 pub use crate::session::{
     ClassAction, CompletionVisitor, Mark, PageSummary, SearchSession, StealGate,
@@ -357,13 +357,13 @@ const DEFAULT_PARALLEL_THRESHOLD: u64 = 1024;
 
 /// The backtracking counting engine (see the module documentation).
 ///
-/// Two knobs have builder overrides: the sharding threshold
+/// Two values are set per engine: the worker cap and the sharding threshold
 /// ([`with_parallel_threshold`](BacktrackingEngine::with_parallel_threshold),
 /// also read from the `ENGINE_PARALLEL_THRESHOLD` environment variable at
-/// construction; the builder wins) and the sort-merge join crossover
-/// ([`with_merge_join_min_rows`](BacktrackingEngine::with_merge_join_min_rows)).
-/// Neither affects any count — only how the work is cut up, or which exact
-/// join algorithm runs. The other scheduling values are constants.
+/// construction; the builder wins). Neither affects any count — only how
+/// the work is cut up. The other scheduling values are constants, and the
+/// search itself ([`SearchSession`]) depends on the database and the query
+/// alone.
 #[derive(Debug, Clone)]
 pub struct BacktrackingEngine {
     /// Maximum number of worker threads for the work-stealing search.
@@ -373,20 +373,12 @@ pub struct BacktrackingEngine {
     /// of the full search tree) at or above which the search is sharded
     /// across workers.
     parallel_threshold: u64,
-    /// Whether to drive the search through the stateful incremental
-    /// residual evaluator (`false` re-runs `holds_partial` from scratch at
-    /// every node, as the PR 2 engine did).
-    incremental: bool,
-    /// Row-count crossover above which two-atom join components use the
-    /// sort-merge join instead of the backtracking join.
-    merge_join_min_rows: u64,
 }
 
 impl Default for BacktrackingEngine {
     /// Auto-detects parallelism (capped at 8 workers), shards instances
     /// with at least [`BacktrackingEngine::parallel_threshold`] (default
-    /// 1024) valuations, and evaluates incrementally.
-    /// `ENGINE_PARALLEL_THRESHOLD` applies.
+    /// 1024) valuations. `ENGINE_PARALLEL_THRESHOLD` applies.
     fn default() -> Self {
         let threads = thread::available_parallelism()
             .map_or(1, usize::from)
@@ -416,8 +408,6 @@ impl BacktrackingEngine {
             parallel_threshold: env_threshold
                 .and_then(|v| v.trim().parse().ok())
                 .unwrap_or(DEFAULT_PARALLEL_THRESHOLD),
-            incremental: true,
-            merge_join_min_rows: DEFAULT_MERGE_JOIN_MIN_ROWS,
         }
     }
 
@@ -437,40 +427,13 @@ impl BacktrackingEngine {
         self
     }
 
-    /// Overrides the sort-merge join crossover: a two-atom join component
-    /// whose larger eligible side holds at least this many candidate rows
-    /// is joined by merging sorted key columns instead of the backtracking
-    /// nested-loop walk. The routing never changes a count — both joins
-    /// decide the same predicate. `0` forces the merge path, `u64::MAX`
-    /// disables it. Defaults to
-    /// [`incdb_query::DEFAULT_MERGE_JOIN_MIN_ROWS`].
-    pub fn with_merge_join_min_rows(mut self, rows: u64) -> Self {
-        self.merge_join_min_rows = rows;
-        self
-    }
-
-    /// The configured sort-merge join crossover, in candidate rows.
-    pub fn merge_join_min_rows(&self) -> u64 {
-        self.merge_join_min_rows
-    }
-
     /// The configured sharding threshold, in total valuations.
     pub fn parallel_threshold(&self) -> u64 {
         self.parallel_threshold
     }
 
-    /// Disables the incremental residual evaluator: every node re-runs
-    /// `holds_partial` from scratch, exactly as the PR 2 engine did. Kept
-    /// as the benchmark baseline (`BENCH_engine.json`'s `incremental_*`
-    /// rows) and for differential testing of the incremental path.
-    pub fn without_incremental(mut self) -> Self {
-        self.incremental = false;
-        self
-    }
-
-    /// Builds a [`SearchSession`] over `db` and `q` with this engine's
-    /// incremental-evaluation setting — the entry point for callers that
-    /// keep the session alive across walks (shard-walk reuse, page fills).
+    /// Builds a [`SearchSession`] over `db` and `q` — the same session
+    /// [`SearchSession::new`] builds, whatever the engine's configuration.
     ///
     /// Returns an error if some null of the table has no domain.
     pub fn session<'q, Q: BooleanQuery + ?Sized>(
@@ -478,9 +441,7 @@ impl BacktrackingEngine {
         db: &IncompleteDatabase,
         q: &'q Q,
     ) -> Result<SearchSession<'q, Q>, DataError> {
-        let mut session = SearchSession::build(db, q, self.incremental)?;
-        session.set_merge_join_min_rows(self.merge_join_min_rows);
-        Ok(session)
+        SearchSession::new(db, q)
     }
 
     /// Decides whether this instance is worth sharding and, if so, seeds
@@ -535,43 +496,6 @@ impl BacktrackingEngine {
             return None;
         }
         Some(prefixes)
-    }
-
-    /// Walks every **satisfying completion leaf** of the search tree in the
-    /// engine's canonical depth-first order, handing the fully bound
-    /// grounding to `visitor` at each one — the streaming primitive behind
-    /// `incdb-stream`'s hash-range-sharded counting and paged enumeration.
-    ///
-    /// The walk reuses the full pruning stack (incremental residual
-    /// evaluation, `Refuted` subtree discard), but unlike
-    /// [`count_valuations`](CountingEngine::count_valuations) it cannot
-    /// credit `Satisfied` subtrees in closed form: every leaf must be
-    /// visited for its fingerprint. The walk is **sequential** regardless
-    /// of the engine's thread configuration — the visitor sees leaves in a
-    /// deterministic order, and parallel callers (the shard scheduler)
-    /// parallelise *across* walks instead.
-    ///
-    /// This is a one-shot convenience: the session it builds is dropped
-    /// when the walk ends. Callers that walk the same instance repeatedly
-    /// should hold a [`session`](BacktrackingEngine::session) and call
-    /// [`SearchSession::walk`] on it, paying a reset per walk instead of a
-    /// rebuild.
-    ///
-    /// Returns `Ok(true)` if the walk covered the whole tree, `Ok(false)`
-    /// if the visitor stopped it early, and an error if some null of the
-    /// table has no domain.
-    pub fn visit_completions<Q, V>(
-        &self,
-        db: &IncompleteDatabase,
-        q: &Q,
-        visitor: &mut V,
-    ) -> Result<bool, DataError>
-    where
-        Q: BooleanQuery + ?Sized,
-        V: CompletionVisitor + ?Sized,
-    {
-        let mut session = self.session(db, q)?;
-        Ok(session.walk(visitor))
     }
 
     /// Runs one task walk per task of the work-stealing queue across up to
@@ -643,7 +567,7 @@ mod tests {
     use super::*;
     use crate::session::completion_key;
     use incdb_data::{CompletionKey, NullId, Value};
-    use incdb_query::{Bcq, NegatedBcq, Ucq};
+    use incdb_query::{Bcq, BcqResidual, FromScratch, NegatedBcq, ResidualState, Ucq};
     use std::collections::HashSet;
 
     fn c(id: u64) -> Value {
@@ -667,14 +591,16 @@ mod tests {
     fn engines() -> Vec<BacktrackingEngine> {
         vec![
             BacktrackingEngine::sequential(),
-            // The PR 2 baseline: from-scratch residual evaluation per node.
-            BacktrackingEngine::sequential().without_incremental(),
             // Force work-stealing sharding even on tiny instances.
             BacktrackingEngine::with_threads(3).with_parallel_threshold(1),
-            BacktrackingEngine::with_threads(3)
-                .with_parallel_threshold(1)
-                .without_incremental(),
         ]
+    }
+
+    /// Runs `check` on `q` itself (incremental residual evaluation) and on
+    /// [`FromScratch`] of it (`holds_partial` re-run at every node).
+    fn each_mode<Q: BooleanQuery + Sync>(q: &Q, mut check: impl FnMut(&(dyn BooleanQuery + Sync))) {
+        check(q);
+        check(&FromScratch(q));
     }
 
     #[test]
@@ -697,16 +623,10 @@ mod tests {
 
     #[test]
     fn tuning_builders_and_env_overrides() {
-        // The two builders override the compiled defaults.
-        let tuned = BacktrackingEngine::with_threads(2)
-            .with_parallel_threshold(11)
-            .with_merge_join_min_rows(13);
+        // The builder overrides the compiled default.
+        let tuned = BacktrackingEngine::with_threads(2).with_parallel_threshold(11);
         assert_eq!(tuned.parallel_threshold(), 11);
-        assert_eq!(tuned.merge_join_min_rows(), 13);
-        assert_eq!(
-            BacktrackingEngine::sequential().merge_join_min_rows(),
-            incdb_query::DEFAULT_MERGE_JOIN_MIN_ROWS
-        );
+        assert_eq!(tuned.threads(), 2);
 
         // `ENGINE_PARALLEL_THRESHOLD`, the one environment knob, reaches
         // freshly constructed engines and changes no count. Process-global
@@ -760,24 +680,37 @@ mod tests {
 
     #[test]
     fn merge_join_routing_never_changes_counts() {
-        // A two-atom join over nulls on both sides: force the merge path on
-        // one engine (crossover 0) and pin the other to backtracking
-        // (crossover u64::MAX). Routing is policy, so every count agrees.
+        // A two-atom join over nulls on both sides, with enough certain S
+        // rows that the default crossover routes the join to the sort-merge
+        // path. The counts must equal the seed loop's and those of the
+        // from-scratch search, which never routes to the merge join.
         let mut db = IncompleteDatabase::new_uniform([1u64, 2, 3]);
         db.add_fact("R", vec![c(0), n(0)]).unwrap();
         db.add_fact("R", vec![c(0), c(2)]).unwrap();
         db.add_fact("R", vec![c(7), c(8)]).unwrap();
         db.add_fact("S", vec![n(1), c(9)]).unwrap();
         db.add_fact("S", vec![c(3), n(2)]).unwrap();
+        let rows = incdb_query::DEFAULT_MERGE_JOIN_MIN_ROWS;
+        for k in 0..rows {
+            db.add_fact("S", vec![c(1000 + 2 * k), c(1001 + 2 * k)])
+                .unwrap();
+        }
         let q: Bcq = "R(0, x), S(x, y)".parse().unwrap();
-        let merged = BacktrackingEngine::sequential().with_merge_join_min_rows(0);
-        let backtracked = BacktrackingEngine::sequential().with_merge_join_min_rows(u64::MAX);
-        let count = merged.count_valuations(&db, &q).unwrap();
-        assert_eq!(count, backtracked.count_valuations(&db, &q).unwrap());
-        assert_eq!(
-            merged.count_completions(&db, &q).unwrap(),
-            backtracked.count_completions(&db, &q).unwrap()
-        );
+        // The instance really sits above the crossover: the residual state
+        // the engine compiles merges at the root.
+        let g = db.try_grounding().unwrap();
+        let mut root = BcqResidual::new(&q, &g);
+        assert_eq!(root.outcome(&g), q.holds_partial(&g));
+        assert!(root.merge_join_count() > 0, "the root join must merge");
+        let vals = NaiveEngine.count_valuations(&db, &q).unwrap();
+        let comps = NaiveEngine.count_completions(&db, &q).unwrap();
+        assert!(!vals.is_zero(), "the join must be satisfiable");
+        for engine in engines() {
+            each_mode(&q, |q| {
+                assert_eq!(engine.count_valuations(&db, q).unwrap(), vals);
+                assert_eq!(engine.count_completions(&db, q).unwrap(), comps);
+            });
+        }
     }
 
     #[test]
@@ -796,7 +729,9 @@ mod tests {
         let q: Bcq = "S(0), R(x,x)".parse().unwrap();
         let expected = NaiveEngine.count_valuations(&db, &q).unwrap();
         for engine in engines() {
-            assert_eq!(engine.count_valuations(&db, &q).unwrap(), expected);
+            each_mode(&q, |q| {
+                assert_eq!(engine.count_valuations(&db, q).unwrap(), expected);
+            });
         }
     }
 
@@ -805,14 +740,19 @@ mod tests {
         let db = example_2_2();
         let q: Bcq = "S(x,x)".parse().unwrap();
         for engine in engines() {
-            assert_eq!(
-                engine.count_valuations(&db, &q).unwrap(),
-                BigNat::from(4u64)
-            );
-            assert_eq!(
-                engine.count_completions(&db, &q).unwrap(),
-                BigNat::from(3u64)
-            );
+            each_mode(&q, |q| {
+                assert_eq!(engine.count_valuations(&db, q).unwrap(), BigNat::from(4u64));
+                assert_eq!(
+                    engine.count_completions(&db, q).unwrap(),
+                    BigNat::from(3u64)
+                );
+            });
+            each_mode(&Tautology, |all| {
+                assert_eq!(
+                    engine.count_completions(&db, all).unwrap(),
+                    BigNat::from(5u64)
+                );
+            });
             assert_eq!(
                 engine.count_all_completions(&db).unwrap(),
                 BigNat::from(5u64)
@@ -827,20 +767,24 @@ mod tests {
         let neg = NegatedBcq::new(q.clone());
         let u: Ucq = "S(x,x) | S(x,y)".parse().unwrap();
         for engine in engines() {
-            // Exercise the `?Sized` path through a trait object.
-            let dyn_neg: &(dyn BooleanQuery + Sync) = &neg;
-            assert_eq!(
-                engine.count_valuations(&db, dyn_neg).unwrap(),
-                NaiveEngine.count_valuations(&db, dyn_neg).unwrap()
-            );
-            assert_eq!(
-                engine.count_valuations(&db, &u).unwrap(),
-                NaiveEngine.count_valuations(&db, &u).unwrap()
-            );
-            assert_eq!(
-                engine.count_completions(&db, &neg).unwrap(),
-                NaiveEngine.count_completions(&db, &neg).unwrap()
-            );
+            // `each_mode` hands the query over as a trait object, which
+            // exercises the `?Sized` path.
+            each_mode(&neg, |neg| {
+                assert_eq!(
+                    engine.count_valuations(&db, neg).unwrap(),
+                    NaiveEngine.count_valuations(&db, neg).unwrap()
+                );
+                assert_eq!(
+                    engine.count_completions(&db, neg).unwrap(),
+                    NaiveEngine.count_completions(&db, neg).unwrap()
+                );
+            });
+            each_mode(&u, |u| {
+                assert_eq!(
+                    engine.count_valuations(&db, u).unwrap(),
+                    NaiveEngine.count_valuations(&db, u).unwrap()
+                );
+            });
         }
     }
 
@@ -855,10 +799,12 @@ mod tests {
         }
         let q: Bcq = "R(x,x)".parse().unwrap();
         for engine in engines() {
-            assert_eq!(
-                engine.count_valuations(&db, &q).unwrap(),
-                BigNat::from(64u64)
-            );
+            each_mode(&q, |q| {
+                assert_eq!(
+                    engine.count_valuations(&db, q).unwrap(),
+                    BigNat::from(64u64)
+                );
+            });
         }
     }
 
@@ -871,8 +817,10 @@ mod tests {
         // T is empty in every completion.
         let q: Bcq = "R(x), T(x)".parse().unwrap();
         for engine in engines() {
-            assert_eq!(engine.count_valuations(&db, &q).unwrap(), BigNat::zero());
-            assert_eq!(engine.count_completions(&db, &q).unwrap(), BigNat::zero());
+            each_mode(&q, |q| {
+                assert_eq!(engine.count_valuations(&db, q).unwrap(), BigNat::zero());
+                assert_eq!(engine.count_completions(&db, q).unwrap(), BigNat::zero());
+            });
         }
     }
 
@@ -882,8 +830,10 @@ mod tests {
         db.add_fact("R", vec![n(0)]).unwrap();
         let q: Bcq = "R(x)".parse().unwrap();
         for engine in engines() {
-            assert_eq!(engine.count_valuations(&db, &q).unwrap(), BigNat::zero());
-            assert_eq!(engine.count_completions(&db, &q).unwrap(), BigNat::zero());
+            each_mode(&q, |q| {
+                assert_eq!(engine.count_valuations(&db, q).unwrap(), BigNat::zero());
+                assert_eq!(engine.count_completions(&db, q).unwrap(), BigNat::zero());
+            });
             assert_eq!(engine.count_all_completions(&db).unwrap(), BigNat::zero());
         }
     }
@@ -894,11 +844,13 @@ mod tests {
         db.add_fact("R", vec![n(0)]).unwrap();
         let q: Bcq = "R(x)".parse().unwrap();
         for engine in engines() {
-            assert!(matches!(
-                engine.count_valuations(&db, &q),
-                Err(DataError::MissingDomain { null: NullId(0) })
-            ));
-            assert!(engine.count_completions(&db, &q).is_err());
+            each_mode(&q, |q| {
+                assert!(matches!(
+                    engine.count_valuations(&db, q),
+                    Err(DataError::MissingDomain { null: NullId(0) })
+                ));
+                assert!(engine.count_completions(&db, q).is_err());
+            });
             assert!(engine.count_all_completions(&db).is_err());
         }
         assert!(NaiveEngine.count_valuations(&db, &q).is_err());
@@ -912,8 +864,12 @@ mod tests {
         let q: Bcq = "R(x)".parse().unwrap();
         let q2: Bcq = "R(x), T(x)".parse().unwrap();
         for engine in engines() {
-            assert_eq!(engine.count_valuations(&db, &q).unwrap(), BigNat::one());
-            assert_eq!(engine.count_valuations(&db, &q2).unwrap(), BigNat::zero());
+            each_mode(&q, |q| {
+                assert_eq!(engine.count_valuations(&db, q).unwrap(), BigNat::one());
+            });
+            each_mode(&q2, |q2| {
+                assert_eq!(engine.count_valuations(&db, q2).unwrap(), BigNat::zero());
+            });
             assert_eq!(engine.count_all_completions(&db).unwrap(), BigNat::one());
         }
     }
@@ -933,11 +889,12 @@ mod tests {
         let db = example_2_2();
         let q: Bcq = "S(x,x)".parse().unwrap();
         let engine = BacktrackingEngine::sequential();
+        let mut session = SearchSession::new(&db, &q).unwrap();
         let mut full = Leaves {
             keys: Vec::new(),
             stop_after: usize::MAX,
         };
-        assert!(engine.visit_completions(&db, &q, &mut full).unwrap());
+        assert!(session.walk(&mut full));
         // Four satisfying valuations stream as four leaves (no dedup at
         // this layer), collapsing to the three distinct completions.
         assert_eq!(full.keys.len(), 4);
@@ -952,13 +909,13 @@ mod tests {
             keys: Vec::new(),
             stop_after: usize::MAX,
         };
-        assert!(engine.visit_completions(&db, &q, &mut again).unwrap());
+        assert!(SearchSession::new(&db, &q).unwrap().walk(&mut again));
         assert_eq!(full.keys, again.keys);
         let mut stopped = Leaves {
             keys: Vec::new(),
             stop_after: 2,
         };
-        assert!(!engine.visit_completions(&db, &q, &mut stopped).unwrap());
+        assert!(!session.walk(&mut stopped));
         assert_eq!(stopped.keys, full.keys[..2]);
         // The multi-threaded configuration still walks sequentially.
         let mut wide = Leaves {
@@ -966,7 +923,7 @@ mod tests {
             stop_after: usize::MAX,
         };
         let parallel = BacktrackingEngine::with_threads(3).with_parallel_threshold(1);
-        assert!(parallel.visit_completions(&db, &q, &mut wide).unwrap());
+        assert!(parallel.session(&db, &q).unwrap().walk(&mut wide));
         assert_eq!(full.keys, wide.keys);
     }
 
@@ -977,14 +934,13 @@ mod tests {
         db.add_fact("R", vec![n(1)]).unwrap();
         let q: Bcq = "R(x)".parse().unwrap();
         for engine in engines() {
-            assert_eq!(
-                engine.count_valuations(&db, &q).unwrap(),
-                BigNat::from(4u64)
-            );
-            assert_eq!(
-                engine.count_completions(&db, &q).unwrap(),
-                BigNat::from(3u64)
-            );
+            each_mode(&q, |q| {
+                assert_eq!(engine.count_valuations(&db, q).unwrap(), BigNat::from(4u64));
+                assert_eq!(
+                    engine.count_completions(&db, q).unwrap(),
+                    BigNat::from(3u64)
+                );
+            });
         }
     }
 

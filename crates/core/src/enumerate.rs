@@ -20,7 +20,8 @@ use incdb_data::{
 };
 use incdb_query::BooleanQuery;
 
-use crate::engine::{BacktrackingEngine, CompletionVisitor, CountingEngine, Tautology};
+use crate::engine::{BacktrackingEngine, CountingEngine, Tautology};
+use crate::session::{CompletionVisitor, SearchSession};
 
 /// Counts the valuations `ν` of `db` such that `ν(db) ⊨ q`, searching the
 /// whole valuation tree (with pruning).
@@ -44,8 +45,8 @@ pub fn count_completions_brute<Q: BooleanQuery + Sync + ?Sized>(
 
 /// Enumerates the set of **all** distinct completions of `db`
 /// (no query filter), materialised as [`Database`] values. Exponential by
-/// nature; intended for small instances and tests. The walk streams through
-/// the engine's leaf-visitor API and dedups by canonical completion key
+/// nature; intended for small instances and tests. One search session walks
+/// every leaf ([`SearchSession::walk`]) and dedups by canonical completion key
 /// ([`Grounding::key_into`] over [`Grounding::full_key_plan`]), so each
 /// distinct completion is materialised exactly once — duplicate valuations
 /// cost a key comparison, not a [`Database`] clone. Counting callers
@@ -71,11 +72,12 @@ pub fn all_completions(db: &IncompleteDatabase) -> Result<BTreeSet<Database>, Da
         keys: BTreeSet::new(),
         scratch: CompletionKey::new(),
     };
-    BacktrackingEngine::sequential().visit_completions(db, &Tautology, &mut sink)?;
+    let mut session = SearchSession::new(db, &Tautology)?;
+    session.walk(&mut sink);
     // Materialise each distinct fingerprint exactly once, declaring every
     // relation of the table (a completion keeps empty relations).
-    let rel_names: Vec<String> = db
-        .try_grounding()?
+    let rel_names: Vec<String> = session
+        .grounding()
         .relation_names()
         .map(String::from)
         .collect();

@@ -731,8 +731,8 @@ pub struct SearchSession<'q, Q: ?Sized> {
     g: Grounding,
     plan: Arc<SessionPlan>,
     /// The incremental evaluator, `None` when the query type has no
-    /// residual evaluation or the caller disabled it — then every node
-    /// falls back to a from-scratch `holds_partial`.
+    /// residual evaluation (such as [`incdb_query::FromScratch`]) — then
+    /// every node falls back to a from-scratch `holds_partial`.
     state: Option<Box<dyn ResidualState>>,
     /// The buffer that carries the grounding's dirty-null notifications
     /// into `state`.
@@ -747,32 +747,19 @@ pub struct SearchSession<'q, Q: ?Sized> {
 }
 
 impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
-    /// Builds a session over `db` and `q` with incremental residual
-    /// evaluation — the one-time setup every subsequent walk reuses.
+    /// Builds a session over `db` and `q`: the grounding, the query's
+    /// incremental [`ResidualState`] and the search plan — the one-time
+    /// setup every subsequent walk reuses.
     ///
     /// Returns an error if some null of the table has no domain.
     pub fn new(db: &IncompleteDatabase, q: &'q Q) -> Result<Self, DataError> {
-        Self::build(db, q, true)
-    }
-
-    /// Builds a session, choosing whether the query is evaluated through
-    /// its stateful incremental [`ResidualState`] (`incremental`) or by
-    /// re-running `holds_partial` from scratch at every node (the
-    /// differential / benchmark baseline).
-    ///
-    /// Returns an error if some null of the table has no domain.
-    pub fn build(db: &IncompleteDatabase, q: &'q Q, incremental: bool) -> Result<Self, DataError> {
         let mut g = db.try_grounding()?;
         let plan = Arc::new(SessionPlan::of(&g));
         // The state snapshots the grounding as-is (fully unbound); clear
         // pending notifications so the sync cursor starts at the snapshot.
         let mut changed = Vec::new();
         g.drain_dirty_into(&mut changed);
-        let state = if incremental {
-            q.residual_state(&g)
-        } else {
-            None
-        };
+        let state = q.residual_state(&g);
         Ok(SearchSession {
             q,
             g,
@@ -783,16 +770,6 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
             scratch: Database::new(),
             key: CompletionKey::new(),
         })
-    }
-
-    /// Forwards the sort-merge join crossover to the residual state (see
-    /// [`BacktrackingEngine::with_merge_join_min_rows`](crate::engine::BacktrackingEngine::with_merge_join_min_rows)).
-    /// A no-op for non-incremental sessions and for evaluators without a
-    /// merge path; forks inherit the setting through the state clone.
-    pub fn set_merge_join_min_rows(&mut self, rows: u64) {
-        if let Some(state) = &mut self.state {
-            state.set_merge_join_min_rows(rows);
-        }
     }
 
     /// Clones this session for another worker: the grounding is cloned, the

@@ -13,7 +13,7 @@ use std::thread;
 use std::time::Duration;
 
 use incdb_bignum::BigNat;
-use incdb_core::engine::{BacktrackingEngine, CountingEngine, NaiveEngine};
+use incdb_core::engine::{BacktrackingEngine, CountingEngine, NaiveEngine, Tautology};
 use incdb_core::generator::{random_database_for_query, GeneratorConfig};
 use incdb_core::session::{
     ClassAction, CollectKeys, CompletionVisitor, CountValuations, PageSink, PageSummary,
@@ -22,30 +22,30 @@ use incdb_core::session::{
 use incdb_data::{
     CompletionKey, Constant, Database, Grounding, IncompleteDatabase, KeyPlan, PageHeap,
 };
-use incdb_query::{Bcq, BooleanQuery, NegatedBcq, Ucq};
+use incdb_query::{Bcq, BooleanQuery, FromScratch, NegatedBcq, Ucq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn engines() -> Vec<(&'static str, BacktrackingEngine)> {
     vec![
         ("sequential", BacktrackingEngine::sequential()),
-        // The PR 2 evaluation strategy: from-scratch holds_partial per node.
-        (
-            "sequential_scratch",
-            BacktrackingEngine::sequential().without_incremental(),
-        ),
         // Work-steal even the tiny random instances over several workers.
         (
             "stealing",
             BacktrackingEngine::with_threads(4).with_parallel_threshold(1),
         ),
-        (
-            "stealing_scratch",
-            BacktrackingEngine::with_threads(4)
-                .with_parallel_threshold(1)
-                .without_incremental(),
-        ),
     ]
+}
+
+/// Runs `check` on `q` itself (incremental residual evaluation) and on
+/// [`FromScratch`] of it (`holds_partial` re-run at every node), naming
+/// the mode for failure messages.
+fn each_mode<Q: BooleanQuery + Sync>(
+    q: &Q,
+    mut check: impl FnMut(&str, &(dyn BooleanQuery + Sync)),
+) {
+    check("incremental", q);
+    check("scratch", &FromScratch(q));
 }
 
 fn queries() -> Vec<Bcq> {
@@ -85,16 +85,18 @@ fn engine_matches_seed_brute_force_on_bcqs() {
                 let expected_vals = NaiveEngine.count_valuations(&db, &query).unwrap();
                 let expected_comps = NaiveEngine.count_completions(&db, &query).unwrap();
                 for (name, engine) in engines() {
-                    assert_eq!(
-                        engine.count_valuations(&db, &query).unwrap(),
-                        expected_vals,
-                        "#Val mismatch [{name}] {query} codd={codd} uniform={uniform} {db:?}"
-                    );
-                    assert_eq!(
-                        engine.count_completions(&db, &query).unwrap(),
-                        expected_comps,
-                        "#Comp mismatch [{name}] {query} codd={codd} uniform={uniform} {db:?}"
-                    );
+                    each_mode(&query, |mode, q| {
+                        assert_eq!(
+                            engine.count_valuations(&db, q).unwrap(),
+                            expected_vals,
+                            "#Val mismatch [{name}/{mode}] {query} codd={codd} uniform={uniform} {db:?}"
+                        );
+                        assert_eq!(
+                            engine.count_completions(&db, q).unwrap(),
+                            expected_comps,
+                            "#Comp mismatch [{name}/{mode}] {query} codd={codd} uniform={uniform} {db:?}"
+                        );
+                    });
                 }
             }
         }
@@ -125,11 +127,13 @@ fn engine_matches_seed_brute_force_on_unions_and_negations() {
                 let db = random_database_for_query(&schema, &config(codd, uniform), &mut rng);
                 let expected = NaiveEngine.count_valuations(&db, u).unwrap();
                 for (name, engine) in engines() {
-                    assert_eq!(
-                        engine.count_valuations(&db, u).unwrap(),
-                        expected,
-                        "#Val mismatch [{name}] {u} codd={codd} uniform={uniform} {db:?}"
-                    );
+                    each_mode(u, |mode, q| {
+                        assert_eq!(
+                            engine.count_valuations(&db, q).unwrap(),
+                            expected,
+                            "#Val mismatch [{name}/{mode}] {u} codd={codd} uniform={uniform} {db:?}"
+                        );
+                    });
                 }
             }
         }
@@ -140,16 +144,18 @@ fn engine_matches_seed_brute_force_on_unions_and_negations() {
         let expected_vals = NaiveEngine.count_valuations(&db, &neg).unwrap();
         let expected_comps = NaiveEngine.count_completions(&db, &neg).unwrap();
         for (name, engine) in engines() {
-            assert_eq!(
-                engine.count_valuations(&db, &neg).unwrap(),
-                expected_vals,
-                "¬#Val mismatch [{name}] {neg} {db:?}"
-            );
-            assert_eq!(
-                engine.count_completions(&db, &neg).unwrap(),
-                expected_comps,
-                "¬#Comp mismatch [{name}] {neg} {db:?}"
-            );
+            each_mode(&neg, |mode, q| {
+                assert_eq!(
+                    engine.count_valuations(&db, q).unwrap(),
+                    expected_vals,
+                    "¬#Val mismatch [{name}/{mode}] {neg} {db:?}"
+                );
+                assert_eq!(
+                    engine.count_completions(&db, q).unwrap(),
+                    expected_comps,
+                    "¬#Comp mismatch [{name}/{mode}] {neg} {db:?}"
+                );
+            });
         }
     }
 }
@@ -167,6 +173,13 @@ fn engine_matches_seed_brute_force_on_all_completions() {
                     engine.count_all_completions(&db).unwrap(),
                     expected,
                     "#Comp(all) mismatch [{name}] codd={codd} uniform={uniform} {db:?}"
+                );
+                assert_eq!(
+                    engine
+                        .count_completions(&db, &FromScratch(&Tautology))
+                        .unwrap(),
+                    expected,
+                    "#Comp(all) mismatch [{name}/scratch] codd={codd} uniform={uniform} {db:?}"
                 );
             }
         }
@@ -294,14 +307,16 @@ fn missing_domain_is_an_error_on_every_path() {
     db.add_fact("R", vec![incdb_data::Value::null(0)]).unwrap();
     let q: Bcq = "R(x)".parse().unwrap();
     for (name, engine) in engines() {
-        assert!(
-            engine.count_valuations(&db, &q).is_err(),
-            "[{name}] valuations"
-        );
-        assert!(
-            engine.count_completions(&db, &q).is_err(),
-            "[{name}] completions"
-        );
+        each_mode(&q, |mode, q| {
+            assert!(
+                engine.count_valuations(&db, q).is_err(),
+                "[{name}/{mode}] valuations"
+            );
+            assert!(
+                engine.count_completions(&db, q).is_err(),
+                "[{name}/{mode}] completions"
+            );
+        });
         assert!(
             engine.count_all_completions(&db).is_err(),
             "[{name}] all completions"

@@ -14,7 +14,9 @@
 //!   generic decision procedure and as closed-form detectors for the six
 //!   patterns of Table 1,
 //! * the connectivity-graph analysis of Appendix A.3 ([`connectivity`]),
-//!   used by the tractable uniform-valuation-counting algorithm.
+//!   used by the tractable uniform-valuation-counting algorithm,
+//! * incremental residual evaluation ([`residual`]) and its from-scratch
+//!   reference ([`FromScratch`]).
 //!
 //! ## Query syntax
 //!
@@ -104,7 +106,8 @@ pub trait BooleanQuery {
 
     /// Builds a stateful incremental evaluator of this query over the given
     /// grounding (see [`residual::ResidualState`]), or `None` if the query
-    /// type has no incremental evaluation — callers then fall back to
+    /// type has no incremental evaluation (or is wrapped in [`FromScratch`])
+    /// — callers then fall back to
     /// [`holds_partial`](BooleanQuery::holds_partial) per node.
     ///
     /// The state snapshots the grounding's *current* assignment; the caller
@@ -129,5 +132,45 @@ pub trait BooleanQuery {
     /// `(database revision, cache_key)`.
     fn cache_key(&self) -> Option<String> {
         None
+    }
+}
+
+/// Evaluates the wrapped query **from scratch** at every search node: it
+/// forwards [`holds`](BooleanQuery::holds),
+/// [`holds_partial`](BooleanQuery::holds_partial) and
+/// [`signature`](BooleanQuery::signature), but never builds a
+/// [`ResidualState`], so a search over it re-runs `holds_partial` per node
+/// instead of syncing an incremental evaluator.
+///
+/// This is the reference the incremental evaluation is tested and
+/// benchmarked against: the same search with the same pruning, and a
+/// per-node test that shares no state across nodes.
+///
+/// ```
+/// use incdb_data::{IncompleteDatabase, Value};
+/// use incdb_query::{Bcq, BooleanQuery, FromScratch, PartialOutcome};
+///
+/// let mut db = IncompleteDatabase::new_uniform([0u64, 1]);
+/// db.add_fact("R", vec![Value::null(0), Value::constant(1)]).unwrap();
+/// let q: Bcq = "R(x,x)".parse().unwrap();
+/// let g = db.try_grounding().unwrap();
+/// assert!(q.residual_state(&g).is_some());
+/// assert!(FromScratch(&q).residual_state(&g).is_none());
+/// assert_eq!(FromScratch(&q).holds_partial(&g), PartialOutcome::Unknown);
+/// ```
+#[derive(Debug)]
+pub struct FromScratch<'a, Q: ?Sized>(pub &'a Q);
+
+impl<Q: BooleanQuery + ?Sized> BooleanQuery for FromScratch<'_, Q> {
+    fn holds(&self, db: &Database) -> bool {
+        self.0.holds(db)
+    }
+
+    fn signature(&self) -> std::collections::BTreeSet<String> {
+        self.0.signature()
+    }
+
+    fn holds_partial(&self, grounding: &Grounding) -> PartialOutcome {
+        self.0.holds_partial(grounding)
     }
 }

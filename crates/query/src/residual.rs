@@ -131,13 +131,6 @@ pub trait ResidualState: Send + Sync {
     /// state (candidate sets, watch index, component decomposition) instead
     /// of re-deriving it from the query and the table.
     fn boxed_clone(&self) -> Box<dyn ResidualState>;
-
-    /// Sets the row-count crossover above which two-atom components use the
-    /// sort-merge join instead of the backtracking join (see
-    /// [`DEFAULT_MERGE_JOIN_MIN_ROWS`]). Routing only — the join result is
-    /// identical either way. The default implementation ignores the hint,
-    /// for evaluators without a merge path.
-    fn set_merge_join_min_rows(&mut self, _rows: u64) {}
 }
 
 /// The default sort-merge crossover: a two-atom component whose larger
@@ -145,8 +138,10 @@ pub trait ResidualState: Send + Sync {
 /// merging sorted key columns (`O(n log n)`, and `O(n)` when the key column
 /// is presorted in the arena) instead of the backtracking nested-loop walk
 /// (`O(n·m)`). Small components stay on the backtracking join, whose
-/// constant factor is lower. Tunable per engine via
-/// `BacktrackingEngine::with_merge_join_min_rows`.
+/// constant factor is lower. Every evaluator routes on this value; only a
+/// bare [`BcqResidual`] can move it
+/// ([`BcqResidual::set_merge_join_min_rows`]), for the differential tests
+/// and benchmarks that pin both joins against each other.
 pub const DEFAULT_MERGE_JOIN_MIN_ROWS: u64 = 1024;
 
 /// How one fact currently relates to one watching query atom. `repr(u8)`
@@ -732,6 +727,16 @@ impl BcqResidual {
         self.merge_min_rows
     }
 
+    /// Moves the sort-merge crossover away from
+    /// [`DEFAULT_MERGE_JOIN_MIN_ROWS`]: `0` forces the merge join onto every
+    /// eligible two-atom component, `u64::MAX` disables it. Routing only —
+    /// both joins decide the same predicate — so this exists for the
+    /// differential tests and benchmarks that run the two joins side by
+    /// side.
+    pub fn set_merge_join_min_rows(&mut self, rows: u64) {
+        self.merge_min_rows = rows;
+    }
+
     /// How many multi-atom join searches this evaluator has actually run —
     /// the work the per-component memos exist to avoid. Single-atom
     /// components never search (their counters decide), and a memo hit
@@ -1175,10 +1180,6 @@ impl ResidualState for BcqResidual {
     fn boxed_clone(&self) -> Box<dyn ResidualState> {
         Box::new(self.clone())
     }
-
-    fn set_merge_join_min_rows(&mut self, rows: u64) {
-        self.merge_min_rows = rows;
-    }
 }
 
 /// The incremental evaluator of a [`Ucq`]: one [`BcqResidual`] per disjunct,
@@ -1241,12 +1242,6 @@ impl ResidualState for UcqResidual {
     fn boxed_clone(&self) -> Box<dyn ResidualState> {
         Box::new(self.clone())
     }
-
-    fn set_merge_join_min_rows(&mut self, rows: u64) {
-        for d in &mut self.disjuncts {
-            d.merge_min_rows = rows;
-        }
-    }
 }
 
 /// The incremental evaluator of a [`NegatedBcq`]: the inner BCQ's state with
@@ -1284,10 +1279,6 @@ impl ResidualState for NegatedBcqResidual {
 
     fn boxed_clone(&self) -> Box<dyn ResidualState> {
         Box::new(self.clone())
-    }
-
-    fn set_merge_join_min_rows(&mut self, rows: u64) {
-        self.inner.merge_min_rows = rows;
     }
 }
 

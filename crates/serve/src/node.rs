@@ -13,8 +13,8 @@
 //! and whether the pool had to build a session.
 //!
 //! Memory discipline is per tenant: a [`Tenant`]'s
-//! [`StreamOptions::fingerprint_budget`] clamps the page size of every
-//! walk serving it — pages and counting drains alike stay within
+//! [`fingerprint_budget`](Tenant::fingerprint_budget) clamps the page size
+//! of every walk serving it — pages and counting drains alike stay within
 //! `O(budget)` resident fingerprints, the serving-layer face of the
 //! streaming subsystem's memory-vs-passes trade-off.
 
@@ -28,7 +28,7 @@ use incdb_core::engine::{BacktrackingEngine, TaskQueue};
 use incdb_data::{CompletionKey, IncompleteDatabase, PageHeap, Value};
 use incdb_query::BooleanQuery;
 use incdb_stream::stream::page_from_session;
-use incdb_stream::{Cursor, StreamOptions};
+use incdb_stream::Cursor;
 
 use crate::pool::{MaintenancePolicy, SessionPool};
 
@@ -37,12 +37,10 @@ use crate::pool::{MaintenancePolicy, SessionPool};
 pub struct Tenant {
     /// Display name, echoed in errors.
     pub name: String,
-    /// The tenant's streaming options. `fingerprint_budget` bounds the
-    /// resident fingerprints of any walk run on this tenant's behalf by
-    /// clamping page sizes; `threads` is not consulted here — the node's
-    /// thread-per-core front-end supplies the parallelism.
-    pub options: StreamOptions,
-    /// Hard page-size ceiling, applied after the budget clamp.
+    /// Bounds the resident fingerprints of any walk run on this tenant's
+    /// behalf by clamping page sizes; `None` leaves only the ceiling.
+    pub fingerprint_budget: Option<usize>,
+    /// Hard page-size ceiling.
     pub max_page_size: usize,
 }
 
@@ -51,26 +49,25 @@ impl Tenant {
     pub fn new(name: impl Into<String>, max_page_size: usize) -> Tenant {
         Tenant {
             name: name.into(),
-            options: StreamOptions::default(),
+            fingerprint_budget: None,
             max_page_size: max_page_size.max(1),
         }
     }
 
     /// Builder-style fingerprint budget.
     pub fn with_budget(mut self, budget: usize) -> Tenant {
-        self.options.fingerprint_budget = Some(budget.max(1));
+        self.fingerprint_budget = Some(budget.max(1));
         self
     }
 
     /// The page size actually served for a request of `requested`: at
-    /// least 1, at most the tenant ceiling, at most the fingerprint
-    /// budget.
+    /// most the tenant ceiling and the fingerprint budget, and at least 1
+    /// even when a ceiling or budget set through the public fields is 0.
     pub fn clamp_page(&self, requested: usize) -> usize {
-        let mut page = requested.clamp(1, self.max_page_size);
-        if let Some(budget) = self.options.fingerprint_budget {
-            page = page.min(budget.max(1));
-        }
-        page
+        let ceiling = self
+            .max_page_size
+            .min(self.fingerprint_budget.unwrap_or(usize::MAX));
+        requested.min(ceiling).max(1)
     }
 }
 
@@ -453,6 +450,41 @@ mod tests {
         assert!(matches!(replies[1].outcome, Outcome::Page { .. }));
         assert!(matches!(replies[2].outcome, Outcome::Error(_)));
         assert!(node.serve_with_workers(Vec::new(), 8).is_empty());
+    }
+
+    #[test]
+    fn a_zero_page_ceiling_serves_pages_of_one() {
+        // The tenant fields are public, so a struct literal can set a
+        // ceiling (and a budget) of 0; reads must still be served, one
+        // completion per page, rather than panic in the clamp.
+        let mut db = IncompleteDatabase::new_uniform([0u64, 1]);
+        db.add_fact("R", vec![Value::null(0)]).unwrap();
+        let q: Bcq = "R(x)".parse().unwrap();
+        let zero = |fingerprint_budget| Tenant {
+            name: "zero".to_string(),
+            fingerprint_budget,
+            max_page_size: 0,
+        };
+        let node = ServeNode::new(db, vec![&q], vec![zero(None), zero(Some(0))]);
+        for tenant in [0, 1] {
+            assert_eq!(node.tenants[tenant].clamp_page(5), 1);
+            let replies = node.serve_with_workers(
+                vec![
+                    Request::Count { tenant, query: 0 },
+                    Request::Page {
+                        tenant,
+                        query: 0,
+                        page_size: 4,
+                    },
+                ],
+                1,
+            );
+            assert_eq!(replies[0].outcome, Outcome::Count(BigNat::from(2u64)));
+            match &replies[1].outcome {
+                Outcome::Page { keys, .. } => assert_eq!(keys.len(), 1),
+                other => panic!("expected a page, got {other:?}"),
+            }
+        }
     }
 
     /// `R(x)`, except that a query built armed panics the first time it is

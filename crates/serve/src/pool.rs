@@ -182,24 +182,21 @@ pub struct SessionPool<'q, Q: BooleanQuery + ?Sized> {
 }
 
 impl<'q, Q: BooleanQuery + ?Sized> SessionPool<'q, Q> {
-    /// An empty pool whose fresh builds use the deterministic sequential
-    /// engine — the usual choice when a thread-per-core front-end already
-    /// provides the parallelism. Stale shelves are maintained under the
-    /// default [`MaintenancePolicy::PatchForward`].
-    pub fn new() -> Self {
-        Self::with_engine(BacktrackingEngine::sequential())
-    }
-
-    /// An empty pool building fresh sessions through the given engine
-    /// (tuning knobs such as merge-join thresholds carry into every
-    /// session the pool builds), under the default
+    /// An empty pool whose stale shelves are maintained under the default
     /// [`MaintenancePolicy::PatchForward`].
-    pub fn with_engine(engine: BacktrackingEngine) -> Self {
-        Self::with_policy(engine, MaintenancePolicy::default())
+    pub fn new() -> Self {
+        Self::with_policy(
+            BacktrackingEngine::sequential(),
+            MaintenancePolicy::default(),
+        )
     }
 
-    /// An empty pool with both the build engine and the stale-shelf
-    /// [`MaintenancePolicy`] chosen by the caller.
+    /// An empty pool with the stale-shelf [`MaintenancePolicy`] chosen by
+    /// the caller. Fresh sessions are built through
+    /// [`engine.session`](BacktrackingEngine::session), so every pooled
+    /// session is the one [`SearchSession::new`] builds: a session depends
+    /// on the database and the query alone, never on the engine's worker
+    /// count or sharding threshold.
     pub fn with_policy(engine: BacktrackingEngine, policy: MaintenancePolicy) -> Self {
         SessionPool {
             engine,

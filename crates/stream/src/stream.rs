@@ -18,8 +18,9 @@
 //!   [`SearchSession`] for as long as it lives: the grounding, the
 //!   compiled residual state and the DFS order are built once, and every
 //!   page fill rewinds that session instead of rebuilding the setup
-//!   ([`CompletionStream::sessions_built`] stays at 1 on the sequential
-//!   path no matter how many pages are drained).
+//!   ([`CompletionStream::sessions_built`] is 1 from the moment the stream
+//!   opens and stays there on the sequential path, however many pages are
+//!   drained).
 //! * **Cursor-pruned walks.** The stream carries a compressed
 //!   [`PageSummary`] of what previous selection walks observed: per-prefix
 //!   subtree key spans over the top of the search tree, recorded as a side
@@ -84,10 +85,8 @@ use crate::cursor::Cursor;
 /// assert_eq!(resumed.count(), 1); // exactly the one remaining completion
 /// ```
 pub struct CompletionStream<'a, Q: BooleanQuery + Sync + ?Sized> {
-    db: &'a IncompleteDatabase,
-    q: &'a Q,
-    /// The policy half: worker count, sharding thresholds and tuning knobs
-    /// for parallel fills. The default ([`BacktrackingEngine::sequential`])
+    /// The policy half: worker count and sharding threshold for parallel
+    /// fills. The default ([`BacktrackingEngine::sequential`])
     /// fills pages with one sequential walk.
     engine: BacktrackingEngine,
     page_size: usize,
@@ -100,17 +99,17 @@ pub struct CompletionStream<'a, Q: BooleanQuery + Sync + ?Sized> {
     /// Set once a page walk returns fewer keys than requested: nothing
     /// beyond the buffer remains.
     exhausted: bool,
-    /// The stream's persistent walk context, built at the first fill and
-    /// rewound for every one after it.
-    session: Option<SearchSession<'a, Q>>,
+    /// The stream's persistent walk context, built when the stream opens
+    /// and rewound for every fill.
+    session: SearchSession<'a, Q>,
     /// Persistent forks for parallel fills, grown to the engine's worker
     /// count at the first sharded fill and reused for every one after it.
     workers: Vec<SearchSession<'a, Q>>,
     /// What previous selection walks learned about the top of the search
     /// tree: per-subtree key spans that let later walks skip provably
     /// served (or provably beyond-page) subtrees, and the stream prove
-    /// exhaustion without a walk. Built with the session at the first fill.
-    summary: Option<PageSummary>,
+    /// exhaustion without a walk. Planned with the session.
+    summary: PageSummary,
     /// The page assembly heap, persistent across refills: keys displaced or
     /// cleared go to its spare list and are recycled, so steady-state fills
     /// only allocate for the keys actually shipped to the buffer.
@@ -156,29 +155,34 @@ impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
         page_size: usize,
         cursor: Cursor,
     ) -> Result<Self, DataError> {
-        let rel_names = db
-            .try_grounding()?
+        let session = SearchSession::new(db, q)?;
+        let page_size = page_size.max(1);
+        let rel_names = session
+            .grounding()
             .relation_names()
             .map(String::from)
             .collect();
+        let summary = PageSummary::plan(
+            session.grounding(),
+            session.order(),
+            summary_cap_nodes(page_size),
+        );
         Ok(CompletionStream {
-            db,
-            q,
             engine: BacktrackingEngine::sequential(),
-            page_size: page_size.max(1),
+            page_size,
             rel_names,
             cursor,
             buffer: VecDeque::new(),
             exhausted: false,
-            session: None,
+            session,
             workers: Vec::new(),
-            summary: None,
+            summary,
             page: PageHeap::new(),
             sheet: Vec::new(),
             worker_scratch: Vec::new(),
             passes: 0,
             fill_walks: 0,
-            sessions_built: 0,
+            sessions_built: 1,
             peak_resident: 0,
         })
     }
@@ -227,9 +231,9 @@ impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
         self.fill_walks
     }
 
-    /// How many walk contexts this stream has built: `1` after the first
-    /// sequential fill however many pages are drained, plus one per
-    /// persistent worker fork on the parallel path. Pinned by tests — the
+    /// How many walk contexts this stream has built: `1` from the moment it
+    /// opens, however many pages are drained, plus one per persistent
+    /// worker fork on the parallel path. Pinned by tests — the
     /// counter that proves pages reuse the session instead of rebuilding
     /// the grounding and recompiling the query.
     pub fn sessions_built(&self) -> usize {
@@ -268,27 +272,10 @@ impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
     fn refill(&mut self) {
         debug_assert!(self.buffer.is_empty());
         debug_assert!(self.page.is_empty(), "the previous fill drained fully");
-        if self.session.is_none() {
-            let session = self
-                .engine
-                .session(self.db, self.q)
-                .expect("domains validated when the stream was opened");
-            self.summary = Some(PageSummary::plan(
-                session.grounding(),
-                session.order(),
-                summary_cap_nodes(self.page_size),
-            ));
-            self.session = Some(session);
-            self.sessions_built += 1;
-        }
         let after = self.cursor.last_key();
         // Exhaustion shortcut: once the recorded root span lies at or below
         // the cursor, nothing remains — no walk at all for the final page.
-        if self
-            .summary
-            .as_ref()
-            .is_some_and(|summary| summary.served(after))
-        {
+        if self.summary.served(after) {
             self.passes += 1;
             self.exhausted = true;
             return;
@@ -297,25 +284,19 @@ impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
         // Keys transiently resident during this fill: the merged page for a
         // sequential walk, the per-worker heaps for a parallel one.
         let mut fill_keys = 0usize;
-        let prefixes = {
-            let session = self.session.as_ref().expect("session built above");
-            self.engine.shard_plan(session.grounding(), session.order())
-        };
+        let prefixes = self
+            .engine
+            .shard_plan(self.session.grounding(), self.session.order());
         match prefixes {
             // Sequential fill: one bounded selection walk on the persistent
             // session, pruned by — and recorded into — the cursor summary.
             None => {
-                let summary = self.summary.as_ref().expect("built with the session");
-                summary.refresh_worksheet(&mut self.sheet);
-                let session = self.session.as_mut().expect("session built above");
-                session.walk(
+                self.summary.refresh_worksheet(&mut self.sheet);
+                self.session.walk(
                     &mut PageSink::new(after, cap, &mut self.page)
-                        .recording(summary, &mut self.sheet),
+                        .recording(&self.summary, &mut self.sheet),
                 );
-                self.summary
-                    .as_mut()
-                    .expect("built with the session")
-                    .absorb([self.sheet.as_slice()]);
+                self.summary.absorb([self.sheet.as_slice()]);
                 self.fill_walks += 1;
             }
             // Parallel fill: shard the selection walk over the engine's
@@ -330,14 +311,13 @@ impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
             // their observations on private worksheets, merged afterwards.
             Some(prefixes) => {
                 while self.workers.len() < self.engine.threads() {
-                    self.workers
-                        .push(self.session.as_ref().expect("session built above").fork());
+                    self.workers.push(self.session.fork());
                     self.sessions_built += 1;
                 }
                 while self.worker_scratch.len() < self.workers.len() {
                     self.worker_scratch.push((PageHeap::new(), Vec::new()));
                 }
-                let summary = self.summary.as_ref().expect("built with the session");
+                let summary = &self.summary;
                 let workers = self.workers.iter_mut().zip(&mut self.worker_scratch);
                 let workers = workers.map(|(session, (heap, sheet))| {
                     // Persistent scratch: retire last page's keys into the
@@ -367,14 +347,11 @@ impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
                     }
                 }
                 self.summary
-                    .as_mut()
-                    .expect("built with the session")
                     .absorb(self.worker_scratch.iter().map(|(_, s)| s.as_slice()));
             }
         }
         self.passes += 1;
-        let resident = fill_keys.max(self.page.len())
-            + self.summary.as_ref().map_or(0, PageSummary::resident_keys);
+        let resident = fill_keys.max(self.page.len()) + self.summary.resident_keys();
         self.peak_resident = self.peak_resident.max(resident);
         if self.page.len() < self.page_size {
             // The page was not filled: everything beyond the cursor is
