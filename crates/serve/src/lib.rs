@@ -21,12 +21,11 @@
 //! The [`SessionPool`] shelves quiescent sessions under that key,
 //! checking the [`quiesce`](incdb_core::session::SearchSession::quiesce)
 //! contract on the way in. Writes bump the revision and run the pool's
-//! [`MaintenancePolicy`]: by default stale sessions are **patched
-//! forward** through the database's bounded delta log
-//! ([`SessionPool::maintain`] /
-//! [`SearchSession::advance_to`](incdb_core::session::SearchSession::advance_to))
-//! in `O(delta)`, falling back to a drop-and-rebuild only when the log
-//! can no longer cover the gap. The [`ServeNode`] is the thread-per-core
+//! [`maintain`](SessionPool::maintain) sweep: stale sessions are
+//! **patched forward** through the database's bounded delta log
+//! ([`SearchSession::advance_to`](incdb_core::session::SearchSession::advance_to))
+//! in `O(delta)`, and dropped for a rebuild only when the log can no
+//! longer cover the gap. The [`ServeNode`] is the thread-per-core
 //! front-end over it: batches of [`Request`]s (counts, pages, cursor
 //! resumes, writes) fan out across workers, each reply carrying
 //! [`RequestMetrics`] (queue wait, walk time, built-vs-patched-vs-reused)

@@ -8,9 +8,10 @@
 //! read lock, drop the lock (the session snapshots the data, so walks
 //! never block writers), walk, and check the session back in. Writes take
 //! the write lock, mutate (bumping
-//! [`IncompleteDatabase::revision`]), and purge the pool's now-stale
-//! shelves. Every reply carries [`RequestMetrics`]: queue wait, walk time,
-//! and whether the pool had to build a session.
+//! [`IncompleteDatabase::revision`]), and run the pool's
+//! [`maintain`](SessionPool::maintain) sweep, which patches the now-stale
+//! shelves forward. Every reply carries [`RequestMetrics`]: queue wait,
+//! walk time, and whether the pool had to build or patch a session.
 //!
 //! Memory discipline is per tenant: a [`Tenant`]'s
 //! [`fingerprint_budget`](Tenant::fingerprint_budget) clamps the page size
@@ -24,13 +25,13 @@ use std::thread;
 use std::time::Instant;
 
 use incdb_bignum::BigNat;
-use incdb_core::engine::{BacktrackingEngine, TaskQueue};
+use incdb_core::engine::TaskQueue;
 use incdb_data::{CompletionKey, IncompleteDatabase, PageHeap, Value};
 use incdb_query::BooleanQuery;
 use incdb_stream::stream::page_from_session;
 use incdb_stream::Cursor;
 
-use crate::pool::{MaintenancePolicy, SessionPool};
+use crate::pool::SessionPool;
 
 /// A client class with its own memory discipline.
 #[derive(Debug, Clone)]
@@ -96,9 +97,9 @@ pub enum Request {
         cursor: String,
     },
     /// Inserts a fact, bumping the database revision and running the
-    /// pool's maintenance sweep — under the default
-    /// [`MaintenancePolicy::PatchForward`] every shelved session is
-    /// advanced through the delta log rather than rebuilt.
+    /// pool's [`maintain`](SessionPool::maintain) sweep: every shelved
+    /// session is advanced through the delta log rather than rebuilt, and
+    /// the ones whose gap the log cannot cover are dropped.
     Write { relation: String, fact: Vec<Value> },
 }
 
@@ -173,25 +174,13 @@ pub struct ServeNode<'q, Q: BooleanQuery + Sync + ?Sized> {
 
 impl<'q, Q: BooleanQuery + Sync + ?Sized> ServeNode<'q, Q> {
     /// A node serving `db` for the given prepared queries and tenants,
-    /// with the default patch-forward session maintenance.
+    /// with an empty session pool.
     pub fn new(db: IncompleteDatabase, queries: Vec<&'q Q>, tenants: Vec<Tenant>) -> Self {
-        Self::with_maintenance(db, queries, tenants, MaintenancePolicy::default())
-    }
-
-    /// A node whose session pool maintains stale shelves under the given
-    /// [`MaintenancePolicy`] — [`MaintenancePolicy::DropAndRebuild`] is
-    /// the measurable rebuild baseline.
-    pub fn with_maintenance(
-        db: IncompleteDatabase,
-        queries: Vec<&'q Q>,
-        tenants: Vec<Tenant>,
-        policy: MaintenancePolicy,
-    ) -> Self {
         ServeNode {
             db: RwLock::new(db),
             queries,
             tenants,
-            pool: SessionPool::with_policy(BacktrackingEngine::sequential(), policy),
+            pool: SessionPool::new(),
         }
     }
 
@@ -332,10 +321,10 @@ impl<'q, Q: BooleanQuery + Sync + ?Sized> ServeNode<'q, Q> {
                     }
                     db.revision()
                 };
-                // Eager maintenance, before the next read lands: under
-                // patch-forward every shelved session is advanced through
-                // the delta log; under drop-and-rebuild stale shelves free
-                // their memory now, not at their next unlucky checkout.
+                // Eager maintenance, before the next read lands: every
+                // shelved session is advanced through the delta log, and
+                // the ones it cannot cover free their memory now, not at
+                // their next unlucky checkout.
                 {
                     let db = self.db.read().expect("db lock poisoned");
                     self.pool.maintain(&db);
@@ -419,6 +408,7 @@ impl<'q, Q: BooleanQuery + Sync + ?Sized> ServeNode<'q, Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use incdb_core::engine::{BacktrackingEngine, CountingEngine};
     use incdb_query::Bcq;
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -485,6 +475,39 @@ mod tests {
                 other => panic!("expected a page, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn two_spellings_of_one_query_share_a_shelf() {
+        let mut db = IncompleteDatabase::new_uniform([0u64, 1, 2]);
+        db.add_fact("R", vec![Value::null(0), Value::null(1)])
+            .unwrap();
+        db.add_fact("R", vec![Value::null(1), Value::constant(0)])
+            .unwrap();
+        db.add_fact("R", vec![Value::constant(1), Value::constant(2)])
+            .unwrap();
+        db.add_fact("T", vec![Value::null(2)]).unwrap();
+        let hot: Bcq = "R(x,x), T(x)".parse().unwrap();
+        let alias: Bcq = "R(y,y), T(y)".parse().unwrap();
+        assert_eq!(hot.cache_key(), alias.cache_key());
+        let expected = BacktrackingEngine::sequential()
+            .count_completions(&db, &hot)
+            .unwrap();
+        assert!(expected > BigNat::zero(), "instance sanity");
+        let node = ServeNode::new(db, vec![&hot, &alias], vec![Tenant::new("t", 8)]);
+        let requests = (0..8)
+            .map(|i| Request::Count {
+                tenant: 0,
+                query: i % 2,
+            })
+            .collect();
+        for reply in node.serve_with_workers(requests, 1) {
+            assert_eq!(reply.outcome, Outcome::Count(expected.clone()));
+        }
+        // One build; every later checkout of either spelling pops it.
+        let stats = node.pool().stats();
+        assert_eq!((stats.built, stats.reused), (1, 7));
+        assert_eq!(node.pool().shelved(), 1);
     }
 
     /// `R(x)`, except that a query built armed panics the first time it is

@@ -23,10 +23,8 @@
 //!
 //! ## Write-path maintenance
 //!
-//! When the database moves past a shelf, the pool's
-//! [`MaintenancePolicy`] decides what happens to the sessions on it.
-//! Under the default [`MaintenancePolicy::PatchForward`], stale sessions
-//! are **advanced through the database's delta log**
+//! When the database moves past a shelf, its stale sessions are
+//! **advanced through the database's delta log**
 //! ([`SearchSession::advance_to`]): the grounding arena is spliced and the
 //! residual slabs are patched in `O(delta)`, in place of the full
 //! grounding construction and residual compilation a rebuild pays. Writers
@@ -35,9 +33,6 @@
 //! Sessions whose gap the bounded log no longer covers (or that a
 //! structural write — new relation, domain change — interrupted) are
 //! dropped and counted in [`PoolStats::rebuilt_gap`].
-//! [`MaintenancePolicy::DropAndRebuild`] keeps the wholesale-drop
-//! behaviour, as the rebuild baseline. [`SessionPool::invalidate_stale`]
-//! remains the explicit drop primitive under either policy.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,7 +50,9 @@ use incdb_query::BooleanQuery;
 /// genuinely in flight at once.
 const SHELF_DEPTH: usize = 8;
 
-/// What the pool does with shelves the database has moved past.
+/// What the pool does with shelves the database has moved past. There is
+/// one policy; the type remains only because the repository benchmark
+/// (`perfbench`) names it in its [`SessionPool::with_policy`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaintenancePolicy {
     /// Advance stale sessions through the database's bounded delta log
@@ -64,9 +61,6 @@ pub enum MaintenancePolicy {
     /// log can no longer cover are dropped ([`PoolStats::rebuilt_gap`]).
     #[default]
     PatchForward,
-    /// Drop stale shelves wholesale and rebuild on demand — the pre-delta
-    /// behaviour, kept as the measurable baseline.
-    DropAndRebuild,
 }
 
 /// The sealed shelf key. The **only** constructor runs
@@ -170,8 +164,6 @@ impl<Q: BooleanQuery + ?Sized> Lease<'_, Q> {
 /// docs](self)). Thread-safe: checkouts and check-ins from any number of
 /// front-end workers interleave freely.
 pub struct SessionPool<'q, Q: BooleanQuery + ?Sized> {
-    engine: BacktrackingEngine,
-    policy: MaintenancePolicy,
     shelves: Mutex<HashMap<PoolKey, Shelf<'q, Q>>>,
     built: AtomicU64,
     reused: AtomicU64,
@@ -182,25 +174,11 @@ pub struct SessionPool<'q, Q: BooleanQuery + ?Sized> {
 }
 
 impl<'q, Q: BooleanQuery + ?Sized> SessionPool<'q, Q> {
-    /// An empty pool whose stale shelves are maintained under the default
-    /// [`MaintenancePolicy::PatchForward`].
+    /// An empty pool. Fresh sessions are built with
+    /// [`SearchSession::new`]: a session depends on the database and the
+    /// query alone.
     pub fn new() -> Self {
-        Self::with_policy(
-            BacktrackingEngine::sequential(),
-            MaintenancePolicy::default(),
-        )
-    }
-
-    /// An empty pool with the stale-shelf [`MaintenancePolicy`] chosen by
-    /// the caller. Fresh sessions are built through
-    /// [`engine.session`](BacktrackingEngine::session), so every pooled
-    /// session is the one [`SearchSession::new`] builds: a session depends
-    /// on the database and the query alone, never on the engine's worker
-    /// count or sharding threshold.
-    pub fn with_policy(engine: BacktrackingEngine, policy: MaintenancePolicy) -> Self {
         SessionPool {
-            engine,
-            policy,
             shelves: Mutex::new(HashMap::new()),
             built: AtomicU64::new(0),
             reused: AtomicU64::new(0),
@@ -211,9 +189,12 @@ impl<'q, Q: BooleanQuery + ?Sized> SessionPool<'q, Q> {
         }
     }
 
-    /// The pool's stale-shelf maintenance policy.
-    pub fn policy(&self) -> MaintenancePolicy {
-        self.policy
+    /// The same pool as [`new`](SessionPool::new): neither argument
+    /// changes the sessions it builds or how it maintains them. The
+    /// signature remains only because the repository benchmark
+    /// (`perfbench`) calls it.
+    pub fn with_policy(_engine: BacktrackingEngine, _policy: MaintenancePolicy) -> Self {
+        Self::new()
     }
 
     /// Checks out a session for `q` over `db`: from the shelf keyed
@@ -241,13 +222,11 @@ impl<'q, Q: BooleanQuery + ?Sized> SessionPool<'q, Q> {
                             patched: false,
                         });
                     }
-                } else if self.policy == MaintenancePolicy::PatchForward
-                    && shelf.revision < revision
-                {
-                    // Patch-forward: advance one shelved session
-                    // through the delta log and serve it. Shelf-mates
-                    // stay behind at the old revision for later
-                    // checkouts (or the maintain sweep) to advance.
+                } else if shelf.revision < revision {
+                    // Advance one shelved session through the delta log
+                    // and serve it. Shelf-mates stay behind at the old
+                    // revision for later checkouts (or the maintain
+                    // sweep) to advance.
                     if let Some(mut session) = shelf.sessions.pop() {
                         if session.advance_to(db, shelf.revision) {
                             self.reused.fetch_add(1, Ordering::Relaxed);
@@ -269,16 +248,15 @@ impl<'q, Q: BooleanQuery + ?Sized> SessionPool<'q, Q> {
                         shelves.remove(k);
                     }
                 } else {
-                    // Drop-and-rebuild, or the database somehow moved
-                    // *behind* the shelf: every session on it is stale,
-                    // whichever direction we look from.
+                    // The database is *behind* the shelf: no delta log
+                    // runs backwards, so every session on it is stale.
                     self.invalidated
                         .fetch_add(shelf.sessions.len() as u64, Ordering::Relaxed);
                     shelves.remove(k);
                 }
             }
         }
-        let session = self.engine.session(db, q)?;
+        let session = SearchSession::new(db, q)?;
         self.built.fetch_add(1, Ordering::Relaxed);
         // Counted with `built`, never before it: a failed build counts
         // neither, so `uncacheable <= built` and `hit_rate` cannot underflow.
@@ -336,28 +314,16 @@ impl<'q, Q: BooleanQuery + ?Sized> SessionPool<'q, Q> {
         }
     }
 
-    /// Write-path maintenance under the pool's [`MaintenancePolicy`]:
-    /// patch-forward pools sweep every stale shelf through
-    /// [`patch_forward`](SessionPool::patch_forward), drop-and-rebuild
-    /// pools purge via
-    /// [`invalidate_stale`](SessionPool::invalidate_stale). Writers call
-    /// this right after a mutation, holding `db` stable (e.g. a read lock
-    /// re-acquired after the write), so shelves are current again before
-    /// the next read lands. Returns `(patched, dropped)` session counts.
+    /// The eager write-path sweep: advances **every** shelved session to
+    /// `db`'s current revision through the delta log, dropping the
+    /// sessions that cannot be patched (truncated log, structural writes).
+    /// Writers call this right after a mutation, holding `db` stable (e.g.
+    /// a read lock re-acquired after the write), so shelves are current
+    /// again before the next read lands. Returns `(patched, dropped)`
+    /// session counts. Unlike the checkout-time patch — which advances
+    /// only the session it is about to serve — the sweep leaves no stale
+    /// shelf behind, so subsequent checkouts are pure hits.
     pub fn maintain(&self, db: &IncompleteDatabase) -> (u64, u64) {
-        match self.policy {
-            MaintenancePolicy::PatchForward => self.patch_forward(db),
-            MaintenancePolicy::DropAndRebuild => (0, self.invalidate_stale(db.revision())),
-        }
-    }
-
-    /// The eager patch sweep: advances **every** shelved session to `db`'s
-    /// current revision through the delta log, dropping the sessions that
-    /// cannot be patched (truncated log, structural writes). Returns
-    /// `(patched, dropped)`. Unlike the checkout-time patch — which
-    /// advances only the session it is about to serve — the sweep leaves
-    /// no stale shelf behind, so subsequent checkouts are pure hits.
-    pub fn patch_forward(&self, db: &IncompleteDatabase) -> (u64, u64) {
         let revision = db.revision();
         let mut shelves = self.shelves.lock().expect("pool lock poisoned");
         let mut patched = 0u64;
@@ -381,27 +347,6 @@ impl<'q, Q: BooleanQuery + ?Sized> SessionPool<'q, Q> {
         self.rebuilt_gap.fetch_add(dropped, Ordering::Relaxed);
         self.invalidated.fetch_add(dropped, Ordering::Relaxed);
         (patched, dropped)
-    }
-
-    /// Drops every shelf not built against `current_revision`, returning
-    /// how many sessions were invalidated. The explicit drop primitive —
-    /// [`maintain`](SessionPool::maintain) routes here for
-    /// [`MaintenancePolicy::DropAndRebuild`] pools; patch-forward pools
-    /// normally sweep instead, but may still purge explicitly (e.g. under
-    /// memory pressure).
-    pub fn invalidate_stale(&self, current_revision: u64) -> u64 {
-        let mut shelves = self.shelves.lock().expect("pool lock poisoned");
-        let mut dropped = 0u64;
-        shelves.retain(|_, shelf| {
-            if shelf.revision == current_revision {
-                true
-            } else {
-                dropped += shelf.sessions.len() as u64;
-                false
-            }
-        });
-        self.invalidated.fetch_add(dropped, Ordering::Relaxed);
-        dropped
     }
 
     /// How many sessions are currently shelved (across every key).
@@ -497,10 +442,13 @@ mod tests {
             c
         };
 
-        // Mutate: the revision moves, the shelf is stale.
+        // Mutate across a structural write (the new relation `T` seals the
+        // delta log): the revision moves and no patch can cover the gap, so
+        // the maintain sweep drops the shelf instead of advancing it.
+        db.add_fact("T", vec![Value::constant(0)]).unwrap();
         db.add_fact("S", vec![Value::constant(5), Value::constant(5)])
             .unwrap();
-        assert_eq!(pool.invalidate_stale(db.revision()), 1);
+        assert_eq!(pool.maintain(&db), (0, 1));
         assert_eq!(pool.shelved(), 0);
 
         let mut lease = pool.check_out(&db, &q).unwrap();
@@ -512,31 +460,8 @@ mod tests {
         pool.check_in(lease);
 
         let stats = pool.stats();
-        assert_eq!(stats.invalidated, 1);
+        assert_eq!((stats.invalidated, stats.rebuilt_gap), (1, 1));
         assert_eq!(stats.built, 2);
-    }
-
-    #[test]
-    fn lazy_invalidation_catches_stale_shelves_without_a_purge() {
-        let mut db = example_db();
-        let q: Bcq = "S(x,x)".parse().unwrap();
-        // Drop-and-rebuild: the baseline policy never patches.
-        let pool: SessionPool<'_, Bcq> = SessionPool::with_policy(
-            BacktrackingEngine::sequential(),
-            MaintenancePolicy::DropAndRebuild,
-        );
-        let lease = pool.check_out(&db, &q).unwrap();
-        pool.check_in(lease);
-        db.add_fact("S", vec![Value::constant(7), Value::constant(8)])
-            .unwrap();
-        // No explicit purge: the next checkout finds the stale shelf and
-        // drops it on its own.
-        let lease = pool.check_out(&db, &q).unwrap();
-        assert!(!lease.was_reused());
-        pool.check_in(lease);
-        let stats = pool.stats();
-        assert_eq!(stats.invalidated, 1);
-        assert_eq!(stats.patched, 0, "drop-and-rebuild never patches");
     }
 
     #[test]
@@ -557,10 +482,7 @@ mod tests {
         assert!(lease.was_patched());
         let patched_count = lease.session.count();
         assert!(patched_count > before, "S(5,5) satisfies S(x,x) everywhere");
-        let fresh_count = BacktrackingEngine::sequential()
-            .session(&db, &q)
-            .unwrap()
-            .count();
+        let fresh_count = SearchSession::new(&db, &q).unwrap().count();
         assert_eq!(patched_count, fresh_count, "patched ≡ fresh");
         pool.check_in(lease);
 

@@ -4,8 +4,8 @@
 //! same counts, same page key sequences, same encoded resume cursors.
 //!
 //! A seeded random schedule interleaves writes (inserts, removals,
-//! multi-revision gaps) with pooled reads under the default
-//! [`MaintenancePolicy::PatchForward`]. Every pooled answer is compared
+//! multi-revision gaps) with pooled reads, which patch stale sessions
+//! forward through the delta log. Every pooled answer is compared
 //! against a fresh session built from the current database; cursors are
 //! round-tripped through the wire format and resumed across write
 //! epochs. Two injected events force the "gap too wide, rebuild"
@@ -18,7 +18,7 @@
 use incdb_core::engine::BacktrackingEngine;
 use incdb_data::{CompletionKey, IncompleteDatabase, PageHeap, Value, DELTA_LOG_CAP};
 use incdb_query::Bcq;
-use incdb_serve::{MaintenancePolicy, SessionPool};
+use incdb_serve::SessionPool;
 use incdb_stream::{page_from_session, Cursor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,7 +62,6 @@ fn patched_sessions_are_byte_identical_to_fresh_builds() {
     ];
     let engine = BacktrackingEngine::sequential();
     let pool: SessionPool<'_, Bcq> = SessionPool::new();
-    assert_eq!(pool.policy(), MaintenancePolicy::PatchForward);
 
     // Facts this schedule inserted and may later remove, and a counter
     // minting fresh constants so inserts never collide with base facts.

@@ -130,8 +130,9 @@ pub struct CompletionStream<'a, Q: BooleanQuery + Sync + ?Sized> {
 /// How many search-tree nodes the cursor summary may track: enough depth to
 /// prune usefully even at small page sizes, scaling with the page so the
 /// summary's resident keys stay `O(page_size)` (at most `2 ×` this many).
+/// Saturates, so any page size is accepted.
 fn summary_cap_nodes(page_size: usize) -> usize {
-    (4 * page_size).max(64)
+    page_size.saturating_mul(4).max(64)
 }
 
 impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
@@ -509,12 +510,24 @@ mod tests {
     }
 
     #[test]
-    fn pruned_drains_match_and_prove_their_own_exhaustion() {
-        // A key-local instance (disjoint single-null facts whose constant
-        // columns align DFS order with key order): summary pruning has
-        // whole subtrees to retire as pages advance.
+    fn a_huge_page_size_drains_in_one_page() {
+        // The module-doc instance: 4 valuations, 3 distinct completions.
+        let mut db = IncompleteDatabase::new_uniform([1u64, 2]);
+        db.add_fact("R", vec![Value::null(0)]).unwrap();
+        db.add_fact("R", vec![Value::null(1)]).unwrap();
+        let mut stream = CompletionStream::new(&db, &Tautology, usize::MAX).unwrap();
+        assert_eq!(stream.by_ref().count(), 3);
+        assert_eq!(stream.passes(), 1);
+        assert_eq!(stream.page_size(), usize::MAX);
+    }
+
+    /// A key-local instance of `nulls` disjoint single-null facts over
+    /// domain `{0, 1, 2}`, whose constant columns align DFS order with key
+    /// order: summary pruning has whole subtrees to retire as pages
+    /// advance. `3^nulls` distinct completions.
+    fn key_local(nulls: u32) -> IncompleteDatabase {
         let mut db = IncompleteDatabase::new_non_uniform();
-        for i in 0..4u32 {
+        for i in 0..nulls {
             db.add_fact(
                 "R",
                 vec![Value::null(i), Value::constant(100 + u64::from(i))],
@@ -522,6 +535,12 @@ mod tests {
             .unwrap();
             db.set_domain(NullId(i), [0u64, 1, 2]).unwrap();
         }
+        db
+    }
+
+    #[test]
+    fn pruned_drains_match_and_prove_their_own_exhaustion() {
+        let db = key_local(4);
         let expected: Vec<Database> = all_completions(&db).unwrap().into_iter().collect();
         assert_eq!(expected.len(), 81);
         for page_size in [1usize, 7, 16, 100] {
@@ -561,6 +580,34 @@ mod tests {
                 "forks must persist across fills, got {}",
                 parallel.sessions_built()
             );
+        }
+    }
+
+    #[test]
+    fn paged_drains_stay_memory_bounded() {
+        // 729 completions drained 8 at a time, sequentially and on 3
+        // workers: the count is the engine's, and the stream never holds
+        // more than its pages plus the summary spans.
+        let db = key_local(6);
+        const PAGE: usize = 8;
+        let expected = parallel_engine().count_all_completions(&db).unwrap();
+        assert_eq!(expected.to_u64(), Some(729), "instance sanity");
+        for engine in [BacktrackingEngine::sequential(), parallel_engine()] {
+            let workers = engine.threads();
+            let mut stream = all_completions_stream(&db, PAGE)
+                .unwrap()
+                .with_engine(engine);
+            let mut drained = 0usize;
+            while stream.next_key().is_some() {
+                drained += 1;
+            }
+            assert_eq!(incdb_bignum::BigNat::from(drained), expected);
+            let peak = stream.peak_resident();
+            assert!(
+                peak <= workers * PAGE + 2 * summary_cap_nodes(PAGE),
+                "{workers} workers: {peak} resident"
+            );
+            assert!(peak < drained, "{workers} workers: {peak} resident");
         }
     }
 
