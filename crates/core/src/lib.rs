@@ -70,7 +70,7 @@ pub use completion_check::is_possible_completion_of_codd;
 pub use engine::{BacktrackingEngine, CompletionVisitor, CountingEngine, NaiveEngine, Tautology};
 pub use problem::{CountingProblem, DomainKind, Setting, TableKind};
 pub use session::{
-    ClassAction, CollectKeys, CountValuations, Mark, PageSink, PageSummary, SearchSession,
-    StealGate,
+    ClassAction, ClassPlan, CollectKeys, CountValuations, Mark, PageSink, PageSummary,
+    SearchSession, StealGate,
 };
 pub use solver::{count_completions, count_valuations, CountOutcome, Method, SolveError};

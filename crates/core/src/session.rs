@@ -41,11 +41,11 @@
 //! [`BacktrackingEngine`]: crate::engine::BacktrackingEngine
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use incdb_bignum::{BigNat, NatAccumulator};
 use incdb_data::{
-    CompletionKey, Constant, DataError, Database, Grounding, IncompleteDatabase, PageHeap,
+    CompletionKey, Constant, DataError, Database, Grounding, IncompleteDatabase, KeyPlan, PageHeap,
 };
 use incdb_query::{BooleanQuery, PartialOutcome, ResidualState};
 
@@ -112,8 +112,8 @@ pub trait CompletionVisitor {
     /// which every remaining unbound null is separable
     /// ([`SearchSession::separation_cut`]). At such a node the non-clean
     /// ("dirty") facts are fully resolved, so their residual key
-    /// ([`Grounding::residual_key_into`] over the [`Grounding::key_plan`] of
-    /// [`SearchSession::class_facts`]) names the node's **completion
+    /// ([`Grounding::residual_key_into`] over
+    /// [`SearchSession::class_plan`]) names the node's **completion
     /// class**: all leaves below share that dirty part, and distinct
     /// separable assignments below it induce distinct completions.
     /// `decided` reports whether an ancestor already proved the query
@@ -638,6 +638,15 @@ struct SessionPlan {
     /// (ground template facts included, so a dirty fact resolving onto a
     /// ground fact dedups inside the class key).
     class_facts: Vec<bool>,
+    /// Whether `class_facts` selects every fact (no fact is clean): class
+    /// keys are then keyed on the grounding's cached
+    /// [`Grounding::full_key_plan`], and `class_plan` stays empty.
+    class_is_full: bool,
+    /// The [`KeyPlan`] of `class_facts`, built on the first class node of
+    /// any walk on the session or its forks — only when `class_is_full` is
+    /// `false`. A fresh plan (build or [`SearchSession::advance_to`])
+    /// starts empty, so the plan never outlives the fact set it indexes.
+    class_plan: OnceLock<KeyPlan>,
 }
 
 impl SessionPlan {
@@ -654,7 +663,8 @@ impl SessionPlan {
         });
         let sep_cut = order.len() - sep.separable_count();
         debug_assert!(order[sep_cut..].iter().all(|&i| sep.null_is_separable(i)));
-        let class_facts = sep.clean_facts().iter().map(|&clean| !clean).collect();
+        let class_facts: Vec<bool> = sep.clean_facts().iter().map(|&clean| !clean).collect();
+        let class_is_full = class_facts.iter().all(|&dirty| dirty);
         let mut suffix = vec![BigNat::one(); order.len() + 1];
         let mut hint = vec![1u64; order.len() + 1];
         for d in (0..order.len()).rev() {
@@ -668,6 +678,38 @@ impl SessionPlan {
             hint,
             sep_cut,
             class_facts,
+            class_is_full,
+            class_plan: OnceLock::new(),
+        }
+    }
+}
+
+/// The key plan that names completion classes at a session's separation
+/// cut ([`SearchSession::class_plan`]): the residual key
+/// ([`Grounding::residual_key_into`]) of the non-clean facts. A cheap
+/// handle on the session's shared plan, so a sink can hold it while the
+/// session walks.
+///
+/// No per-request work happens until a class node asks for the plan. When
+/// no fact is clean the plan is the grounding's own cached
+/// [`Grounding::full_key_plan`] — the one page walks key on, so no second
+/// copy of the ground block exists. Otherwise the class facts' plan is
+/// built once and shared by the session and all its forks.
+#[derive(Debug, Clone)]
+pub struct ClassPlan(Arc<SessionPlan>);
+
+impl ClassPlan {
+    /// The class key plan over `g`, which must be the grounding of the
+    /// session this handle came from (or of one of its forks), at the same
+    /// revision: a later [`SearchSession::advance_to`] hands out a new
+    /// handle.
+    pub fn plan<'a>(&'a self, g: &'a Grounding) -> &'a KeyPlan {
+        if self.0.class_is_full {
+            g.full_key_plan()
+        } else {
+            self.0
+                .class_plan
+                .get_or_init(|| g.key_plan(&self.0.class_facts))
         }
     }
 }
@@ -812,11 +854,11 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
         self.plan.sep_cut
     }
 
-    /// Per-fact include mask of the non-clean facts — the
-    /// [`Grounding::key_plan`] mask whose key canonically names a
-    /// completion class at the separation cut.
-    pub fn class_facts(&self) -> &[bool] {
-        &self.plan.class_facts
+    /// The key plan of the non-clean facts, whose residual key names a
+    /// completion class at the separation cut. O(1): the plan itself is
+    /// built, at most once per plan derivation, on first use.
+    pub fn class_plan(&self) -> ClassPlan {
+        ClassPlan(Arc::clone(&self.plan))
     }
 
     /// Returns the session to its root state — every null unbound, the
@@ -909,8 +951,9 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
         }
         // A write can flip fact cleanliness and null separability (a new
         // ground fact may unify with a previously clean fact), so the
-        // plan's order, cut and class mask are re-derived. The grounding
-        // and the evaluator — the expensive parts — stay patched.
+        // plan's order, cut and class mask are re-derived, and its class
+        // key plan, which indexes the old fact set, starts over. The
+        // grounding and the evaluator — the expensive parts — stay patched.
         self.plan = Arc::new(SessionPlan::of(&self.g));
         true
     }
@@ -1224,7 +1267,7 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
 mod tests {
     use super::*;
     use crate::engine::{BacktrackingEngine, CountingEngine, Tautology};
-    use incdb_data::{KeyPlan, NullId, Value};
+    use incdb_data::{NullId, Value};
     use incdb_query::Bcq;
 
     /// The database of Example 2.2 / Figure 1.
@@ -1362,7 +1405,7 @@ mod tests {
     /// dirty-part fingerprints memoised exactly, class subtrees credited
     /// through `class_counted`.
     struct ClassCounter {
-        plan: KeyPlan,
+        class: ClassPlan,
         seen: HashSet<CompletionKey>,
         scratch: CompletionKey,
         total: BigNat,
@@ -1374,7 +1417,7 @@ mod tests {
             panic!("a counting class visitor never descends to leaves");
         }
         fn class_node(&mut self, g: &Grounding, _decided: bool) -> ClassAction {
-            g.residual_key_into(&self.plan, &mut self.scratch)
+            g.residual_key_into(self.class.plan(g), &mut self.scratch)
                 .expect("dirty facts are resolved at the cut");
             if self.seen.contains(&self.scratch) {
                 return ClassAction::Skip;
@@ -1405,7 +1448,7 @@ mod tests {
             let mut reference = CollectKeys::default();
             session.walk(&mut reference);
             let mut counter = ClassCounter {
-                plan: session.grounding().key_plan(session.class_facts()),
+                class: session.class_plan(),
                 seen: HashSet::new(),
                 scratch: CompletionKey::new(),
                 total: BigNat::zero(),

@@ -16,12 +16,10 @@ use incdb_bignum::BigNat;
 use incdb_core::engine::{BacktrackingEngine, CountingEngine, NaiveEngine, Tautology};
 use incdb_core::generator::{random_database_for_query, GeneratorConfig};
 use incdb_core::session::{
-    ClassAction, CollectKeys, CompletionVisitor, CountValuations, PageSink, PageSummary,
+    ClassAction, ClassPlan, CollectKeys, CompletionVisitor, CountValuations, PageSink, PageSummary,
     SearchSession,
 };
-use incdb_data::{
-    CompletionKey, Constant, Database, Grounding, IncompleteDatabase, KeyPlan, PageHeap,
-};
+use incdb_data::{CompletionKey, Constant, Database, Grounding, IncompleteDatabase, PageHeap};
 use incdb_query::{Bcq, BooleanQuery, FromScratch, NegatedBcq, Ucq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -334,7 +332,7 @@ fn missing_domain_is_an_error_on_every_path() {
 /// their leaves are deduplicated by the residual key of the whole
 /// completion instead.
 struct ClassCount {
-    plan: KeyPlan,
+    class: ClassPlan,
     classes: HashSet<CompletionKey>,
     leaves: HashSet<CompletionKey>,
     scratch: CompletionKey,
@@ -344,7 +342,7 @@ struct ClassCount {
 impl ClassCount {
     fn new(session: &SearchSession<'_, Bcq>) -> Self {
         ClassCount {
-            plan: session.grounding().key_plan(session.class_facts()),
+            class: session.class_plan(),
             classes: HashSet::new(),
             leaves: HashSet::new(),
             scratch: CompletionKey::new(),
@@ -366,7 +364,8 @@ impl CompletionVisitor for ClassCount {
     }
 
     fn class_node(&mut self, g: &Grounding, _decided: bool) -> ClassAction {
-        g.residual_key_into(&self.plan, &mut self.scratch).unwrap();
+        g.residual_key_into(self.class.plan(g), &mut self.scratch)
+            .unwrap();
         if self.classes.insert(self.scratch.clone()) {
             ClassAction::Count
         } else {

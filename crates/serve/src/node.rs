@@ -15,8 +15,10 @@
 //!
 //! Memory discipline is per tenant: a [`Tenant`]'s
 //! [`fingerprint_budget`](Tenant::fingerprint_budget) clamps the page size
-//! of every walk serving it — pages and counting drains alike stay within
-//! `O(budget)` resident fingerprints, the serving-layer face of the
+//! of every page walk serving it, and the same clamp is the resident-key
+//! budget of its counts ([`count_completions_on`], which evicts hash ranges
+//! to follow-up walks rather than exceed it). Pages and counts alike stay
+//! within `O(budget)` resident keys, the serving-layer face of the
 //! streaming subsystem's memory-vs-passes trade-off.
 
 use std::panic::{self, AssertUnwindSafe};
@@ -29,7 +31,7 @@ use incdb_core::engine::TaskQueue;
 use incdb_data::{CompletionKey, IncompleteDatabase, PageHeap, Value};
 use incdb_query::BooleanQuery;
 use incdb_stream::stream::page_from_session;
-use incdb_stream::Cursor;
+use incdb_stream::{count_completions_on, Cursor};
 
 use crate::pool::SessionPool;
 
@@ -38,8 +40,10 @@ use crate::pool::SessionPool;
 pub struct Tenant {
     /// Display name, echoed in errors.
     pub name: String,
-    /// Bounds the resident fingerprints of any walk run on this tenant's
-    /// behalf by clamping page sizes; `None` leaves only the ceiling.
+    /// Bounds the resident keys of any walk run on this tenant's behalf:
+    /// it clamps page sizes ([`Tenant::clamp_page`]), and the clamped
+    /// ceiling is the resident class-key budget of its counts. `None`
+    /// leaves only the ceiling.
     pub fingerprint_budget: Option<usize>,
     /// Hard page-size ceiling.
     pub max_page_size: usize,
@@ -78,9 +82,12 @@ impl Tenant {
 /// for as long as the node lives.
 #[derive(Debug, Clone)]
 pub enum Request {
-    /// How many distinct completions satisfy the query? Served by paging
-    /// the canonical order on a pooled session, so resident memory stays
-    /// within the tenant's clamp whatever the true count is.
+    /// How many distinct completions satisfy the query? Served by one
+    /// budgeted distinct count on a pooled session
+    /// ([`count_completions_on`]): completions are deduplicated by residual
+    /// key, and at most the tenant's clamped page ceiling of keys is
+    /// resident at once, whatever the true count is. A count that
+    /// overflows the budget pays follow-up walks, not memory.
     Count { tenant: usize, query: usize },
     /// The first `page_size` completions in canonical order.
     Page {
@@ -128,8 +135,8 @@ pub enum Outcome {
 pub struct RequestMetrics {
     /// Nanoseconds between enqueue and a worker picking the request up.
     pub queue_wait_ns: u64,
-    /// Nanoseconds spent walking (page fills, counting drains); zero for
-    /// writes and errors.
+    /// Nanoseconds spent walking (a page fill, or every walk of a budgeted
+    /// count); zero for writes and errors.
     pub walk_ns: u64,
     /// Nanoseconds from a worker picking the request up to its reply being
     /// ready — checkout (including any session build), walk, check-in, and
@@ -269,19 +276,12 @@ impl<'q, Q: BooleanQuery + Sync + ?Sized> ServeNode<'q, Q> {
                     metrics.checkout_ns = checkout_ns;
                     metrics.session_built = !lease.was_reused();
                     metrics.session_patched = lease.was_patched();
-                    let page = t.clamp_page(t.max_page_size);
+                    // The tenant's page clamp is also its counting budget.
+                    let budget = t.clamp_page(t.max_page_size);
                     let started = Instant::now();
-                    let mut cursor = Cursor::start();
-                    let mut count = 0u64;
-                    loop {
-                        cursor = page_from_session(&mut lease.session, &cursor, page, heap);
-                        count += heap.len() as u64;
-                        if heap.len() < page {
-                            break;
-                        }
-                    }
+                    let counted = count_completions_on(&mut lease.session, budget);
                     metrics.walk_ns = started.elapsed().as_nanos() as u64;
-                    Outcome::Count(BigNat::from(count))
+                    Outcome::Count(counted.count)
                 })
             }
             Request::Page {
@@ -508,6 +508,52 @@ mod tests {
         let stats = node.pool().stats();
         assert_eq!((stats.built, stats.reused), (1, 7));
         assert_eq!(node.pool().shelved(), 1);
+    }
+
+    #[test]
+    fn a_count_leaves_the_pool_as_a_page_does() {
+        // One checkout and one check-in per read, whatever the read walks:
+        // a count and a page on the same key leave identical pool stats,
+        // across pops, patched shelves and a new-relation rebuild.
+        let mut db = IncompleteDatabase::new_uniform([0u64, 1, 2]);
+        db.add_fact("R", vec![Value::null(0), Value::null(1)])
+            .unwrap();
+        db.add_fact("R", vec![Value::constant(1), Value::null(0)])
+            .unwrap();
+        db.declare_relation("T");
+        let hot: Bcq = "R(x,x)".parse().unwrap();
+        let refuted: Bcq = "R(x,x), T(x)".parse().unwrap();
+        let write = |relation: &str, a, b| Request::Write {
+            relation: relation.into(),
+            fact: vec![Value::constant(a), Value::constant(b)],
+        };
+        let run = |read: &dyn Fn(usize, usize) -> Request| {
+            let node = ServeNode::new(
+                db.clone(),
+                vec![&hot, &refuted],
+                vec![Tenant::new("t", 4), Tenant::new("m", 4).with_budget(1)],
+            );
+            let mut requests = vec![read(0, 0), read(1, 0), read(0, 1)];
+            requests.push(write("R", 7, 8));
+            requests.extend([read(1, 0), read(0, 1)]);
+            requests.push(write("U", 7, 8));
+            requests.extend([read(0, 0), read(1, 1), read(0, 0)]);
+            for request in requests {
+                node.serve_with_workers(vec![request], 1);
+            }
+            (node.pool().stats(), node.pool().shelved())
+        };
+        let counts = run(&|tenant, query| Request::Count { tenant, query });
+        let pages = run(&|tenant, query| Request::Page {
+            tenant,
+            query,
+            page_size: 2,
+        });
+        assert_eq!(counts, pages);
+        assert!(
+            counts.0.patched > 0 && counts.0.rebuilt_gap > 0,
+            "{counts:?}"
+        );
     }
 
     /// `R(x)`, except that a query built armed panics the first time it is

@@ -31,7 +31,9 @@
 //!   [`SearchSession`](incdb_core::session::SearchSession)** — consecutive
 //!   ranges cost a rewind, not a grounding rebuild plus a residual-state
 //!   recompilation (pinned by [`ShardedCount::sessions_built`] /
-//!   [`ShardedCount::walks_reused`]).
+//!   [`ShardedCount::walks_reused`]). [`count_completions_on`] runs the
+//!   same budgeted count on a session the caller already holds — the
+//!   serving layer's pooled sessions.
 //! * **Resumable canonical-order enumeration** ([`stream`]). A
 //!   [`CompletionStream`] yields distinct completions in the canonical
 //!   fingerprint-lexicographic order of full canonical keys
@@ -79,6 +81,8 @@ pub mod solver;
 pub mod stream;
 
 pub use cursor::{Cursor, CursorDecodeError};
-pub use shard::{count_completions_budgeted, count_completions_sharded, ShardedCount};
+pub use shard::{
+    count_completions_budgeted, count_completions_on, count_completions_sharded, ShardedCount,
+};
 pub use solver::StreamOptions;
 pub use stream::{all_completions_stream, page_from_session, CompletionStream};

@@ -40,7 +40,7 @@
 //!   with no separable nulls the cut sits at the leaves and the sink
 //!   degrades to exactly the old per-completion behaviour.
 //!
-//! Two entry points expose the trade-off:
+//! Three entry points expose the trade-off:
 //!
 //! * [`count_completions_sharded`] — a fixed partition into `K` ranges,
 //!   chunked into `min(threads, K)` contiguous batches: one walk per
@@ -51,27 +51,35 @@
 //!   when the instance fits) and refines by evicting overweight ranges —
 //!   deferred ranges are re-queued **as one sorted batch**, so follow-up
 //!   walks stay multi-range and the eviction machinery keeps paying off.
+//! * [`count_completions_on`] — the same budgeted count on a session the
+//!   caller already holds, walked on the calling thread. The serving
+//!   layer answers every `Count` request with it on a pooled session, so
+//!   served and offline #Comp share one distinct counter.
 //!
-//! Batches run on the engine's worker pool ([`TaskQueue::run`]): workers
-//! pop batches, and deferred ranges are donated back to the queue, so idle
-//! workers immediately pick up the refined remainder of a dense region.
-//! Each worker tallies its own counters, summed when the pool returns.
+//! All three run one per-walk step: walk a batch, fold its live ranges,
+//! re-queue its evicted ranges as one sorted batch. The first two run
+//! their batches on the engine's worker pool ([`TaskQueue::run`]):
+//! workers pop batches, and deferred ranges are donated back to the
+//! queue, so idle workers immediately pick up the refined remainder of a
+//! dense region. Each worker tallies its own counters, summed when the
+//! pool returns.
 //!
 //! Consecutive walks of one worker run on a persistent [`SearchSession`]:
 //! the grounding, the compiled residual state and the DFS order are built
 //! **once per worker** and rewound — not rebuilt — for every subsequent
 //! batch. The [`ShardedCount::sessions_built`] /
 //! [`ShardedCount::walks_reused`] counters pin the reuse actually
-//! happening.
+//! happening; [`count_completions_on`] builds nothing, so its every walk
+//! is a reuse.
 
 use std::collections::HashSet;
 
 use incdb_bignum::{BigNat, NatAccumulator};
 use incdb_core::engine::{CompletionVisitor, TaskQueue};
-use incdb_core::session::{ClassAction, SearchSession};
+use incdb_core::session::{ClassAction, ClassPlan, SearchSession};
 use incdb_data::{
     fingerprint_hash, key_heap_bytes, CompletionKey, DataError, Grounding, HashRange,
-    IncompleteDatabase, KeyPlan,
+    IncompleteDatabase,
 };
 use incdb_query::BooleanQuery;
 
@@ -158,12 +166,11 @@ struct MultiRangeSink<'a> {
     /// index, kept parallel to `ranges`.
     spans: Vec<HashRange>,
     ranges: Vec<ActiveRange>,
-    /// Precomputed key skeleton of the class facts
-    /// ([`SearchSession::class_facts`], everything that is not provably
-    /// separable): each class node resolves only its null-hosting facts
-    /// into a residual key and looks them up in the pre-sorted ground
-    /// block, never copying that block.
-    plan: &'a KeyPlan,
+    /// The session's class key plan ([`SearchSession::class_plan`],
+    /// everything that is not provably separable): each class node
+    /// resolves only its null-hosting facts into a residual key and looks
+    /// them up in the pre-sorted ground block, never copying that block.
+    class: &'a ClassPlan,
     /// Maximum resident keys across the whole batch; `None` is unbounded.
     budget: Option<usize>,
     /// Current resident keys summed over live (non-evicted) ranges.
@@ -187,7 +194,7 @@ struct MultiRangeSink<'a> {
 }
 
 impl<'a> MultiRangeSink<'a> {
-    fn new(batch: Vec<HashRange>, budget: Option<usize>, plan: &'a KeyPlan) -> Self {
+    fn new(batch: Vec<HashRange>, budget: Option<usize>, class: &'a ClassPlan) -> Self {
         debug_assert!(batch.windows(2).all(|w| w[0].last < w[1].start));
         let ranges: Vec<ActiveRange> = batch
             .iter()
@@ -203,7 +210,7 @@ impl<'a> MultiRangeSink<'a> {
             spans: batch,
             live: ranges.len(),
             ranges,
-            plan,
+            class,
             budget,
             resident: 0,
             peak: 0,
@@ -276,7 +283,7 @@ impl CompletionVisitor for MultiRangeSink<'_> {
     }
 
     fn class_node(&mut self, g: &Grounding, _decided: bool) -> ClassAction {
-        g.residual_key_into(self.plan, &mut self.scratch)
+        g.residual_key_into(self.class.plan(g), &mut self.scratch)
             .expect("every non-separable null is bound at the cut");
         let hash = fingerprint_hash(&self.scratch);
         let Some(i) = HashRange::find(&self.spans, hash) else {
@@ -392,6 +399,69 @@ pub fn count_completions_budgeted<Q: BooleanQuery + Sync + ?Sized>(
     )
 }
 
+/// Counts the distinct completions satisfying the query of an existing
+/// session — such as one leased from a session pool — while keeping each
+/// walk's resident fingerprint set within `budget` (at least 1).
+///
+/// The sequential face of [`count_completions_budgeted`]: the same
+/// per-walk step (one `MultiRangeSink` walk over a batch of hash ranges,
+/// evicted ranges re-queued as one sorted batch), run on the calling
+/// thread until no range is left. Nothing is built: every walk rewinds
+/// `session`, so `sessions_built` is 0 and `walks_reused == passes`. A
+/// query refuted at the root costs one root evaluation and builds no key
+/// plan.
+pub fn count_completions_on<Q: BooleanQuery + ?Sized>(
+    session: &mut SearchSession<'_, Q>,
+    budget: usize,
+) -> ShardedCount {
+    let class = session.class_plan();
+    let budget = Some(budget.max(1));
+    let mut tally = ShardedCount::default();
+    let mut batch = vec![HashRange::full()];
+    loop {
+        tally.walks_reused += 1;
+        match walk_batch(session, &class, batch, budget, &mut tally) {
+            Some(deferred) => batch = deferred,
+            None => return tally,
+        }
+    }
+}
+
+/// The per-walk step of every counter in this module: walks `session` once
+/// over `batch`, folds the ranges that stayed live into `tally`, and
+/// returns the ranges it evicted as one sorted batch, or `None` when it
+/// evicted none.
+fn walk_batch<Q: BooleanQuery + ?Sized>(
+    session: &mut SearchSession<'_, Q>,
+    class: &ClassPlan,
+    batch: Vec<HashRange>,
+    budget: Option<usize>,
+    tally: &mut ShardedCount,
+) -> Option<Vec<HashRange>> {
+    tally.passes += 1;
+    tally.ranges_walked += batch.len();
+    let mut sink = MultiRangeSink::new(batch, budget, class);
+    let completed = session.walk(&mut sink);
+    // The walk only stops early once every range has been evicted, so
+    // every live range's count is complete either way.
+    debug_assert!(completed || sink.live == 0);
+    tally.peak_resident_fingerprints = tally.peak_resident_fingerprints.max(sink.peak);
+    tally.peak_resident_bytes = tally.peak_resident_bytes.max(sink.peak_bytes);
+    tally.evictions += sink.evictions;
+    for r in sink.ranges.into_iter().filter(|r| !r.evicted) {
+        tally.count += r.acc.into_total();
+        tally.counted_shards += 1;
+    }
+    if sink.deferred.is_empty() {
+        return None;
+    }
+    // One sorted batch, not one task per range: follow-up walks stay
+    // multi-range, so a dense region is re-counted with single-walk
+    // amortisation too.
+    sink.deferred.sort_unstable_by_key(|r| r.start);
+    Some(sink.deferred)
+}
+
 /// The shared driver: walks every batch of the queue (deferring evicted
 /// ranges as new batches when a budget is set) and merges the disjoint
 /// per-range counts.
@@ -408,9 +478,11 @@ fn run_shards<Q: BooleanQuery + Sync + ?Sized>(
     // separability plan exactly once. Workers fork the template (cloning the
     // compiled state, never re-deriving it) the first time they pop a batch.
     let template = SearchSession::new(db, q)?;
-    // One sort of the ground class facts for the whole call; fact indices
-    // are template-level, so every forked worker session shares the plan.
-    let class_plan = template.grounding().key_plan(template.class_facts());
+    // One class key plan for the whole call, built on the first class
+    // node; fact indices are template-level, so every forked worker
+    // session shares it. When no fact is clean it is each worker
+    // grounding's own cached full plan instead.
+    let class = template.class_plan();
     // Each worker: its persistent walk context — forked on its first batch,
     // rewound, not rebuilt, for every batch after it, never paid by a
     // worker that pops nothing — and its own tally.
@@ -423,26 +495,8 @@ fn run_shards<Q: BooleanQuery + Sync + ?Sized>(
             tally.sessions_built += 1;
         }
         let session = session.get_or_insert_with(|| template.fork());
-        tally.passes += 1;
-        tally.ranges_walked += batch.len();
-        let mut sink = MultiRangeSink::new(batch, budget, &class_plan);
-        let completed = session.walk(&mut sink);
-        // The walk only stops early once every range has been evicted, so
-        // every live range's count is complete either way.
-        debug_assert!(completed || sink.live == 0);
-        tally.peak_resident_fingerprints = tally.peak_resident_fingerprints.max(sink.peak);
-        tally.peak_resident_bytes = tally.peak_resident_bytes.max(sink.peak_bytes);
-        tally.evictions += sink.evictions;
-        for r in sink.ranges.into_iter().filter(|r| !r.evicted) {
-            tally.count += r.acc.into_total();
-            tally.counted_shards += 1;
-        }
-        if !sink.deferred.is_empty() {
-            // One sorted batch, not one task per range: follow-up walks stay
-            // multi-range, so a dense region is re-counted with single-walk
-            // amortisation too.
-            sink.deferred.sort_unstable_by_key(|r| r.start);
-            queue.donate([sink.deferred]);
+        if let Some(deferred) = walk_batch(session, &class, batch, budget, tally) {
+            queue.donate([deferred]);
         }
     });
     let mut total = ShardedCount::default();
@@ -622,6 +676,30 @@ mod tests {
                     result.peak_resident_fingerprints
                 );
             }
+        }
+    }
+
+    #[test]
+    fn counts_on_a_held_session_stay_in_budget_and_build_nothing() {
+        let q = Tautology;
+        for db in [mixed_instance(), example_2_2()] {
+            let expected = BacktrackingEngine::sequential()
+                .count_all_completions(&db)
+                .unwrap();
+            let mut session = SearchSession::new(&db, &q).unwrap();
+            for budget in 1..=4usize {
+                let result = count_completions_on(&mut session, budget);
+                assert_eq!(result.count, expected, "budget {budget}");
+                assert!(
+                    result.peak_resident_fingerprints <= budget,
+                    "budget {budget}: peak {}",
+                    result.peak_resident_fingerprints
+                );
+                assert_eq!(result.sessions_built, 0, "budget {budget}");
+                assert_eq!(result.walks_reused, result.passes, "budget {budget}");
+            }
+            // Both instances hold more classes than a budget of 1.
+            assert!(count_completions_on(&mut session, 1).evictions > 0);
         }
     }
 
