@@ -196,10 +196,10 @@ impl CountingEngine for NaiveEngine {
 /// workers wait for work, and the pool only exits once every task —
 /// including donated ones — has finished.
 ///
-/// The engine and the parallel page fill of `incdb-stream` instantiate it
-/// with prefix assignments (`Vec<Constant>`) and split on steal (when the
-/// deque runs dry while some worker still owns a large subtree, that worker
-/// donates its unexplored sibling branches back through a [`StealGate`]);
+/// The engine instantiates it with prefix assignments (`Vec<Constant>`)
+/// and splits on steal (when the deque runs dry while some worker still
+/// owns a large subtree, that worker donates its unexplored sibling
+/// branches back through a [`StealGate`]);
 /// the sharded distinct counter instantiates it with batches of fingerprint
 /// hash ranges and donates the ranges a walk evicted to respect its memory
 /// budget; the serving node instantiates it with requests.
@@ -456,9 +456,8 @@ impl BacktrackingEngine {
     /// `order`), or `None` when the engine should run sequentially: fewer
     /// than two workers, or fewer total valuations than the
     /// [threshold](BacktrackingEngine::with_parallel_threshold) (the
-    /// boundary is inclusive). Exposed so session-holding callers (e.g.
-    /// parallel page fills in `incdb-stream`) can reuse the engine's
-    /// routing policy over their own walks.
+    /// boundary is inclusive). Exposed so session-holding callers can reuse
+    /// the engine's routing policy over their own task walks.
     pub fn shard_plan(&self, g: &Grounding, order: &[usize]) -> Option<Vec<Vec<Constant>>> {
         if self.threads < 2 || order.is_empty() {
             return None;

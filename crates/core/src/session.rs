@@ -36,7 +36,7 @@
 //! state in sync through the grounding's dirty-null channel. The **policy**
 //! half — routing, thresholds, worker counts, [`TaskQueue`] scheduling —
 //! stays in [`crate::engine`], and the streaming subsystem (`incdb-stream`)
-//! drives sessions directly for shard-walk reuse and parallel page fills.
+//! drives sessions directly for shard-walk reuse and page fills.
 //!
 //! [`BacktrackingEngine`]: crate::engine::BacktrackingEngine
 
@@ -381,34 +381,29 @@ impl PageSummary {
     }
 
     /// A fresh all-[`Mark::Unvisited`] bottom-level observation sheet for
-    /// one walk (or one worker of a parallel walk).
+    /// one walk.
     pub fn worksheet(&self) -> Vec<Mark> {
         vec![Mark::Unvisited; self.bottom_len()]
     }
 
     /// Resets a previously used worksheet to all-[`Mark::Unvisited`] **in
-    /// place**, reusing its allocation — what a long-lived pager's
-    /// persistent per-worker scratch calls between page fills instead of
-    /// allocating a fresh [`worksheet`](PageSummary::worksheet) each time.
+    /// place**, reusing its allocation — what a long-lived pager calls
+    /// between page fills instead of allocating a fresh
+    /// [`worksheet`](PageSummary::worksheet) each time.
     /// Adapts the length if the summary changed (e.g. a rebuilt session).
     pub fn refresh_worksheet(&self, sheet: &mut Vec<Mark>) {
         sheet.clear();
         sheet.resize(self.bottom_len(), Mark::Unvisited);
     }
 
-    /// Folds one or more walk worksheets into the summary: bottom marks
-    /// merge (unvisited sheet entries leave the carried mark untouched),
-    /// then internal levels are re-derived bottom-up, keeping the previous
-    /// mark wherever some child is still unknown.
-    pub fn absorb<'a, I>(&mut self, sheets: I)
-    where
-        I: IntoIterator<Item = &'a [Mark]>,
-    {
-        for sheet in sheets {
-            debug_assert_eq!(sheet.len(), self.bottom_len());
-            for (slot, mark) in self.levels[self.depth].iter_mut().zip(sheet) {
-                slot.merge_from(mark);
-            }
+    /// Folds one walk's worksheet into the summary: bottom marks merge
+    /// (unvisited sheet entries leave the carried mark untouched), then
+    /// internal levels are re-derived bottom-up, keeping the previous mark
+    /// wherever some child is still unknown.
+    pub fn absorb(&mut self, sheet: &[Mark]) {
+        debug_assert_eq!(sheet.len(), self.bottom_len());
+        for (slot, mark) in self.levels[self.depth].iter_mut().zip(sheet) {
+            slot.merge_from(mark);
         }
         for l in (0..self.depth).rev() {
             let w = self.widths[l];
@@ -465,8 +460,8 @@ impl PageSummary {
 /// `O(cap)` keys regardless of how many completions exist.
 ///
 /// The heap is not cleared first: pre-existing entries participate in the
-/// bound, so several walks (e.g. the per-worker task walks of a parallel
-/// page fill) can accumulate into one heap.
+/// bound, so several walks (e.g. task walks over a partition of the tree)
+/// can accumulate into one heap.
 ///
 /// With [`recording`](PageSink::recording) the sink runs the
 /// cursor-pruning summary protocol: previous walks' marks prune subtrees
@@ -1016,8 +1011,13 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
     /// Walks the whole search tree from the root in the session's canonical
     /// depth-first order, driving `sink` through its hooks. Returns `true`
     /// if the walk covered the whole tree, `false` if the sink stopped it
-    /// early — either way the session is back at its root state
-    /// afterwards, ready for the next walk.
+    /// early. Either way every binding the walk made is undone and the next
+    /// walk may start at once (it rewinds first), but the dirty-null
+    /// notifications of the last unbinds stay pending until that
+    /// [`rewind`](SearchSession::rewind): the session need not be
+    /// [quiescent](SearchSession::is_quiescent) afterwards. Quiesce it
+    /// ([`quiesce`](SearchSession::quiesce)) before shelving it for reuse
+    /// or patching it forward.
     pub fn walk<S>(&mut self, sink: &mut S) -> bool
     where
         S: CompletionVisitor + ?Sized,
@@ -1509,7 +1509,7 @@ mod tests {
                 let mut sink =
                     PageSink::new(pruned.last(), 3, &mut page).recording(&summary, &mut sheet);
                 session.walk(&mut sink);
-                summary.absorb([sheet.as_slice()]);
+                summary.absorb(&sheet);
                 let done = page.len() < 3;
                 pruned.extend(page.drain());
                 if done {
@@ -1549,9 +1549,9 @@ mod tests {
                 // Reference page, unpruned sequential walk.
                 let mut reference = PageHeap::new();
                 session.walk(&mut PageSink::new(after.as_ref(), 4, &mut reference));
-                // Parallel-style fill: one recorded task walk per
-                // first-level branch, each with its own worksheet, merged
-                // afterwards.
+                // Task-walk fill: one recorded task walk per first-level
+                // branch, each with its own worksheet, absorbed one sheet at
+                // a time afterwards.
                 let mut merged = PageHeap::new();
                 let mut sheets: Vec<Vec<Mark>> = Vec::new();
                 for &value in &dom {
@@ -1562,7 +1562,9 @@ mod tests {
                     sheets.push(sheet);
                 }
                 session.rewind();
-                summary.absorb(sheets.iter().map(Vec::as_slice));
+                for sheet in &sheets {
+                    summary.absorb(sheet);
+                }
                 assert_eq!(merged.as_slice(), reference.as_slice());
                 let done = reference.len() < 4;
                 expected_pages.extend(reference.iter().cloned());
@@ -1649,7 +1651,7 @@ mod tests {
         for prefix in &donated {
             session.walk_task(prefix, None, &mut sink);
         }
-        summary.absorb([sheet.as_slice()]);
+        summary.absorb(&sheet);
         assert_eq!(page.len(), 4);
         assert!(summary.served(page.last()));
         assert!(!summary.served(None));
@@ -1670,7 +1672,7 @@ mod tests {
         let mut page = PageHeap::new();
         let mut sheet = summary.worksheet();
         session.walk(&mut PageSink::new(None, 3, &mut page).recording(&summary, &mut sheet));
-        summary.absorb([sheet.as_slice()]);
+        summary.absorb(&sheet);
         assert_eq!(page.len(), 3);
         let cursor = page.last().cloned().unwrap();
         let served_nodes = (0..summary.levels[1].len())
@@ -1689,7 +1691,7 @@ mod tests {
         let mut sheet = summary.worksheet();
         let mut sink = PageSink::new(Some(&cursor), 8, &mut rest).recording(&summary, &mut sheet);
         session.walk(&mut sink);
-        summary.absorb([sheet.as_slice()]);
+        summary.absorb(&sheet);
         assert_eq!(rest.len(), 3, "three completions remain past the cursor");
         assert!(rest.iter().all(|k| *k > cursor));
         assert!(

@@ -180,9 +180,8 @@ impl PageHeap {
     /// `key` sorts below it. Returns `true` if the key entered the page.
     ///
     /// Pre-existing keys participate in the bound, so several walks (e.g.
-    /// per-worker subtree walks of a parallel page fill) can accumulate
-    /// into one heap — or a merge step can [`admit`](PageHeap::admit) one
-    /// heap's keys into another.
+    /// task walks over a partition of the search tree) can accumulate into
+    /// one heap.
     pub fn admit(
         &mut self,
         key: &CompletionKey,

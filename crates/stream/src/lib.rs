@@ -41,10 +41,7 @@
 //!   `page_size`-bounded selection walk per page, with a serializable
 //!   keyset [`Cursor`] ([`cursor`]) — pause, persist the cursor string,
 //!   and resume the exact sequence in a fresh process. The paging primitive a request-serving layer needs.
-//!   The stream holds its session across pages, and
-//!   [`CompletionStream::with_threads`] shards each selection walk across
-//!   work-stealing workers (merging their bounded heaps) for multicore
-//!   page latency — the page contents are scheduling-independent.
+//!   The stream holds its session across pages.
 //!
 //! The [`solver`] module exposes the memory-budget routing knob
 //! ([`StreamOptions`]): closed forms keep priority, unbudgeted requests run

@@ -409,7 +409,8 @@ pub fn count_completions_budgeted<Q: BooleanQuery + Sync + ?Sized>(
 /// thread until no range is left. Nothing is built: every walk rewinds
 /// `session`, so `sessions_built` is 0 and `walks_reused == passes`. A
 /// query refuted at the root costs one root evaluation and builds no key
-/// plan.
+/// plan. Like any walk, it leaves `session` unquiesced: quiesce it
+/// ([`SearchSession::quiesce`]) before shelving it.
 pub fn count_completions_on<Q: BooleanQuery + ?Sized>(
     session: &mut SearchSession<'_, Q>,
     budget: usize,
@@ -700,6 +701,10 @@ mod tests {
             }
             // Both instances hold more classes than a budget of 1.
             assert!(count_completions_on(&mut session, 1).evictions > 0);
+            // A class walk leaves dirty-null notifications pending; the
+            // pool's check-in clears them.
+            session.quiesce();
+            assert!(session.is_quiescent());
         }
     }
 

@@ -12,15 +12,13 @@
 //! completions exist** — the memory-vs-passes trade-off knob of the
 //! streaming subsystem (a full drain costs `⌈N / page_size⌉` walks).
 //!
-//! Three session-layer upgrades cut the per-page cost:
+//! Two session-layer upgrades cut the per-page cost:
 //!
-//! * **Persistent walk contexts.** The stream holds a
+//! * **Persistent walk contexts.** The stream holds one
 //!   [`SearchSession`] for as long as it lives: the grounding, the
-//!   compiled residual state and the DFS order are built once, and every
-//!   page fill rewinds that session instead of rebuilding the setup
-//!   ([`CompletionStream::sessions_built`] is 1 from the moment the stream
-//!   opens and stays there on the sequential path, however many pages are
-//!   drained).
+//!   compiled residual state and the DFS order are built once when the
+//!   stream opens, and every page fill rewinds that session instead of
+//!   rebuilding the setup, however many pages are drained.
 //! * **Cursor-pruned walks.** The stream carries a compressed
 //!   [`PageSummary`] of what previous selection walks observed: per-prefix
 //!   subtree key spans over the top of the search tree, recorded as a side
@@ -32,28 +30,18 @@
 //!   ([`CompletionStream::fill_walks`] counts the walks that actually
 //!   ran). The summary costs `O(page_size)` extra resident keys, counted
 //!   by [`CompletionStream::peak_resident`].
-//! * **Parallel page fills.** With [`CompletionStream::with_engine`] (or
-//!   the [`with_threads`](CompletionStream::with_threads) shorthand) the
-//!   selection walk is sharded over the engine's worker pool
-//!   ([`TaskQueue::run`]): each worker runs the bounded selection on its
-//!   own forked session over seeded and donated subtree prefixes, and the
-//!   per-worker bounded heaps merge into the page — same page,
-//!   deterministically, at multicore latency. Each worker counts its own
-//!   task walks, summed into [`CompletionStream::fill_walks`] the way
-//!   [`passes`](CompletionStream::passes) counts page fills.
 //!
 //! Because a page is determined by `(database, query, cursor, page size)`
-//! alone — worker scheduling cannot change its contents — the enumeration
-//! is **resumable**: [`CompletionStream::cursor`] after any yield
-//! serializes the position ([`Cursor::encode`]), and
+//! alone, the enumeration is **resumable**: [`CompletionStream::cursor`]
+//! after any yield serializes the position ([`Cursor::encode`]), and
 //! [`CompletionStream::resume`] continues the exact sequence from a fresh
 //! process with no other retained state — precisely keyset pagination over
 //! an exponential virtual result set.
 
 use std::collections::VecDeque;
 
-use incdb_core::engine::{BacktrackingEngine, TaskQueue, Tautology};
-use incdb_core::session::{Mark, PageSink, PageSummary, SearchSession, StealGate};
+use incdb_core::engine::Tautology;
+use incdb_core::session::{Mark, PageSink, PageSummary, SearchSession};
 use incdb_data::{
     materialize_completion, CompletionKey, DataError, Database, IncompleteDatabase, PageHeap,
 };
@@ -84,11 +72,7 @@ use crate::cursor::Cursor;
 ///     &db, &Tautology, 2, ticket.parse().unwrap()).unwrap();
 /// assert_eq!(resumed.count(), 1); // exactly the one remaining completion
 /// ```
-pub struct CompletionStream<'a, Q: BooleanQuery + Sync + ?Sized> {
-    /// The policy half: worker count and sharding threshold for parallel
-    /// fills. The default ([`BacktrackingEngine::sequential`])
-    /// fills pages with one sequential walk.
-    engine: BacktrackingEngine,
+pub struct CompletionStream<'a, Q: BooleanQuery + ?Sized> {
     page_size: usize,
     rel_names: Vec<String>,
     /// Position after the last *yielded* completion.
@@ -102,9 +86,6 @@ pub struct CompletionStream<'a, Q: BooleanQuery + Sync + ?Sized> {
     /// The stream's persistent walk context, built when the stream opens
     /// and rewound for every fill.
     session: SearchSession<'a, Q>,
-    /// Persistent forks for parallel fills, grown to the engine's worker
-    /// count at the first sharded fill and reused for every one after it.
-    workers: Vec<SearchSession<'a, Q>>,
     /// What previous selection walks learned about the top of the search
     /// tree: per-subtree key spans that let later walks skip provably
     /// served (or provably beyond-page) subtrees, and the stream prove
@@ -114,16 +95,11 @@ pub struct CompletionStream<'a, Q: BooleanQuery + Sync + ?Sized> {
     /// cleared go to its spare list and are recycled, so steady-state fills
     /// only allocate for the keys actually shipped to the buffer.
     page: PageHeap,
-    /// The sequential fill's observation worksheet, refreshed in place
+    /// The fill's observation worksheet, refreshed in place
     /// ([`PageSummary::refresh_worksheet`]) instead of reallocated per page.
     sheet: Vec<Mark>,
-    /// Per-worker `(heap, worksheet)` scratch for parallel fills, persistent
-    /// across refills like the `workers` forks themselves — the worker heaps
-    /// that used to be rebuilt (and reallocated) on every page.
-    worker_scratch: Vec<(PageHeap, Vec<Mark>)>,
     passes: usize,
     fill_walks: usize,
-    sessions_built: usize,
     peak_resident: usize,
 }
 
@@ -135,7 +111,7 @@ fn summary_cap_nodes(page_size: usize) -> usize {
     page_size.saturating_mul(4).max(64)
 }
 
-impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
+impl<'a, Q: BooleanQuery + ?Sized> CompletionStream<'a, Q> {
     /// Opens a stream over the satisfying completions of `db`, paging
     /// `page_size` (at least 1) completions per search-tree walk.
     ///
@@ -169,44 +145,19 @@ impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
             summary_cap_nodes(page_size),
         );
         Ok(CompletionStream {
-            engine: BacktrackingEngine::sequential(),
             page_size,
             rel_names,
             cursor,
             buffer: VecDeque::new(),
             exhausted: false,
             session,
-            workers: Vec::new(),
             summary,
             page: PageHeap::new(),
             sheet: Vec::new(),
-            worker_scratch: Vec::new(),
             passes: 0,
             fill_walks: 0,
-            sessions_built: 1,
             peak_resident: 0,
         })
-    }
-
-    /// Replaces the fill policy: page fills shard the selection walk across
-    /// the engine's workers whenever its
-    /// [`shard_plan`](BacktrackingEngine::shard_plan) says the instance is
-    /// worth it (and run sequentially otherwise). The page *contents* are
-    /// independent of the policy — only the fill latency changes.
-    ///
-    /// Builder style; call before iterating (an engine swap mid-stream
-    /// drops the already-forked workers, not the cursor position).
-    pub fn with_engine(mut self, engine: BacktrackingEngine) -> Self {
-        self.engine = engine;
-        self.workers.clear();
-        self
-    }
-
-    /// Shorthand for [`with_engine`](CompletionStream::with_engine) with
-    /// `threads` default-tuned workers: parallel page fills on instances
-    /// above the engine's default sharding threshold.
-    pub fn with_threads(self, threads: usize) -> Self {
-        self.with_engine(BacktrackingEngine::with_threads(threads))
     }
 
     /// The resume position: immediately after the last yielded completion.
@@ -217,28 +168,16 @@ impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
     }
 
     /// How many page fills this stream has performed so far — the passes
-    /// side of the memory-vs-passes trade-off (one per page, whatever the
-    /// fill policy).
+    /// side of the memory-vs-passes trade-off (one per page).
     pub fn passes(&self) -> usize {
         self.passes
     }
 
-    /// How many selection walks the fills cost in total: equal to
-    /// [`passes`](CompletionStream::passes) for sequential fills, and the
-    /// sum of per-worker subtree walks (task pops, including donated
-    /// splits) for parallel ones — the accounting that shows where a
-    /// parallel fill spent its workers.
+    /// How many selection walks the fills actually ran: one per
+    /// [`pass`](CompletionStream::passes), except a closing fill that
+    /// proves exhaustion from the cursor summary and walks nothing.
     pub fn fill_walks(&self) -> usize {
         self.fill_walks
-    }
-
-    /// How many walk contexts this stream has built: `1` from the moment it
-    /// opens, however many pages are drained, plus one per persistent
-    /// worker fork on the parallel path. Pinned by tests — the
-    /// counter that proves pages reuse the session instead of rebuilding
-    /// the grounding and recompiling the query.
-    pub fn sessions_built(&self) -> usize {
-        self.sessions_built
     }
 
     /// The configured page size: the stream's resident-memory bound, in
@@ -256,20 +195,9 @@ impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
         self.peak_resident
     }
 
-    /// How many `CompletionKey` allocations the parallel fill scratch has
-    /// made from scratch, ever: per-worker heaps persist across refills and
-    /// recycle retired keys ([`PageHeap`]'s spare list), so this stays flat
-    /// — bounded by `workers × (page_size + 1)` — no matter how many pages
-    /// are drained. Pinned by tests; before the scratch became persistent it
-    /// grew with every pass.
-    pub fn fill_scratch_fresh_keys(&self) -> u64 {
-        self.worker_scratch
-            .iter()
-            .map(|(heap, _)| heap.fresh_keys())
-            .sum()
-    }
-
-    /// Runs the selection walks for the next page beyond the cursor.
+    /// Runs the selection walk for the next page beyond the cursor: one
+    /// bounded walk on the held session, pruned by — and recorded into —
+    /// the cursor summary.
     fn refill(&mut self) {
         debug_assert!(self.buffer.is_empty());
         debug_assert!(self.page.is_empty(), "the previous fill drained fully");
@@ -281,78 +209,15 @@ impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
             self.exhausted = true;
             return;
         }
-        let cap = self.page_size;
-        // Keys transiently resident during this fill: the merged page for a
-        // sequential walk, the per-worker heaps for a parallel one.
-        let mut fill_keys = 0usize;
-        let prefixes = self
-            .engine
-            .shard_plan(self.session.grounding(), self.session.order());
-        match prefixes {
-            // Sequential fill: one bounded selection walk on the persistent
-            // session, pruned by — and recorded into — the cursor summary.
-            None => {
-                self.summary.refresh_worksheet(&mut self.sheet);
-                self.session.walk(
-                    &mut PageSink::new(after, cap, &mut self.page)
-                        .recording(&self.summary, &mut self.sheet),
-                );
-                self.summary.absorb([self.sheet.as_slice()]);
-                self.fill_walks += 1;
-            }
-            // Parallel fill: shard the selection walk over the engine's
-            // work-stealing queue. Each worker accumulates its own bounded
-            // heap over the subtree prefixes it pops (donating splits when
-            // others starve); any key among the page's true `cap` smallest
-            // is seen by whichever worker owns its subtree and cannot be
-            // displaced from that worker's heap, so merging the K bounded
-            // heaps and trimming to `cap` yields exactly the sequential
-            // page. Workers consult the shared summary to skip served
-            // subtrees — whole tasks die at the prune check — and record
-            // their observations on private worksheets, merged afterwards.
-            Some(prefixes) => {
-                while self.workers.len() < self.engine.threads() {
-                    self.workers.push(self.session.fork());
-                    self.sessions_built += 1;
-                }
-                while self.worker_scratch.len() < self.workers.len() {
-                    self.worker_scratch.push((PageHeap::new(), Vec::new()));
-                }
-                let summary = &self.summary;
-                let workers = self.workers.iter_mut().zip(&mut self.worker_scratch);
-                let workers = workers.map(|(session, (heap, sheet))| {
-                    // Persistent scratch: retire last page's keys into the
-                    // spare list, blank the worksheet in place — no
-                    // per-refill allocation.
-                    heap.clear();
-                    summary.refresh_worksheet(sheet);
-                    (
-                        session,
-                        PageSink::new(after, cap, heap).recording(summary, sheet),
-                        0,
-                    )
-                });
-                let done = TaskQueue::run(prefixes, workers.collect(), |worker, prefix, queue| {
-                    let (session, sink, walks) = worker;
-                    session.walk_task(&prefix, Some(&StealGate::new(queue)), sink);
-                    *walks += 1;
-                });
-                self.fill_walks += done.into_iter().map(|(_, _, walks)| walks).sum::<usize>();
-                // Merge the bounded worker heaps through the same admission
-                // protocol the walks use: order-independent, deduplicating,
-                // and never more than `cap` keys resident in the page.
-                for (heap, _) in &self.worker_scratch {
-                    fill_keys += heap.len();
-                    for key in heap {
-                        self.page.admit(key, after, cap);
-                    }
-                }
-                self.summary
-                    .absorb(self.worker_scratch.iter().map(|(_, s)| s.as_slice()));
-            }
-        }
+        self.summary.refresh_worksheet(&mut self.sheet);
+        self.session.walk(
+            &mut PageSink::new(after, self.page_size, &mut self.page)
+                .recording(&self.summary, &mut self.sheet),
+        );
+        self.summary.absorb(&self.sheet);
+        self.fill_walks += 1;
         self.passes += 1;
-        let resident = fill_keys.max(self.page.len()) + self.summary.resident_keys();
+        let resident = self.page.len() + self.summary.resident_keys();
         self.peak_resident = self.peak_resident.max(resident);
         if self.page.len() < self.page_size {
             // The page was not filled: everything beyond the cursor is
@@ -363,7 +228,7 @@ impl<'a, Q: BooleanQuery + Sync + ?Sized> CompletionStream<'a, Q> {
     }
 }
 
-impl<Q: BooleanQuery + Sync + ?Sized> CompletionStream<'_, Q> {
+impl<Q: BooleanQuery + ?Sized> CompletionStream<'_, Q> {
     /// Advances the stream by one completion and returns its canonical
     /// fingerprint key, **without materialising** the completion — the
     /// keys-level drain for callers that ship fingerprints (the cursor wire
@@ -380,7 +245,7 @@ impl<Q: BooleanQuery + Sync + ?Sized> CompletionStream<'_, Q> {
     }
 }
 
-impl<Q: BooleanQuery + Sync + ?Sized> Iterator for CompletionStream<'_, Q> {
+impl<Q: BooleanQuery + ?Sized> Iterator for CompletionStream<'_, Q> {
     type Item = Database;
 
     fn next(&mut self) -> Option<Database> {
@@ -438,8 +303,11 @@ pub fn page_from_session<Q: BooleanQuery + ?Sized>(
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::collections::BTreeSet;
+
     use super::*;
-    use incdb_core::engine::CountingEngine;
+    use incdb_core::engine::{BacktrackingEngine, CountingEngine};
     use incdb_core::enumerate::all_completions;
     use incdb_data::{NullId, Value};
     use incdb_query::Bcq;
@@ -455,12 +323,6 @@ mod tests {
         db.set_domain(NullId(1), [0u64, 1, 2]).unwrap();
         db.set_domain(NullId(2), [0u64, 1]).unwrap();
         db
-    }
-
-    /// A fill policy that forces parallel page fills even on the tiny test
-    /// instances (3 workers, shard from the first valuation).
-    fn parallel_engine() -> BacktrackingEngine {
-        BacktrackingEngine::with_threads(3).with_parallel_threshold(1)
     }
 
     #[test]
@@ -494,12 +356,10 @@ mod tests {
         let mut one_by_one = all_completions_stream(&db, 1).unwrap();
         let n = one_by_one.by_ref().count();
         assert_eq!(n, 5);
-        // One walk per completion — the final refill proves exhaustion
-        // from the recorded root span instead of walking — on one
-        // persistent session: the setup was built exactly once.
+        // One walk per completion: the final refill proves exhaustion
+        // from the recorded root span instead of walking.
         assert_eq!(one_by_one.passes(), n + 1);
         assert_eq!(one_by_one.fill_walks(), n);
-        assert_eq!(one_by_one.sessions_built(), 1);
         let mut wide = all_completions_stream(&db, 64).unwrap();
         assert_eq!(wide.by_ref().count(), 5);
         assert_eq!(wide.passes(), 1);
@@ -560,55 +420,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fills_reproduce_the_sequential_pages() {
-        let db = example_2_2();
-        let q: Bcq = "S(x,x)".parse().unwrap();
-        for page_size in [1usize, 2, 3, 64] {
-            let sequential: Vec<Database> =
-                CompletionStream::new(&db, &q, page_size).unwrap().collect();
-            let mut parallel = CompletionStream::new(&db, &q, page_size)
-                .unwrap()
-                .with_engine(parallel_engine());
-            let drained: Vec<Database> = parallel.by_ref().collect();
-            assert_eq!(drained, sequential, "page size {page_size}");
-            // The sharded fills really ran: more walks than passes, on the
-            // primary session plus its persistent worker forks (built once,
-            // not once per page).
-            assert!(parallel.fill_walks() >= parallel.passes());
-            assert!(
-                parallel.sessions_built() <= 1 + parallel_engine().threads(),
-                "forks must persist across fills, got {}",
-                parallel.sessions_built()
-            );
-        }
-    }
-
-    #[test]
     fn paged_drains_stay_memory_bounded() {
-        // 729 completions drained 8 at a time, sequentially and on 3
-        // workers: the count is the engine's, and the stream never holds
-        // more than its pages plus the summary spans.
+        // 729 completions drained 8 at a time: the count is the engine's,
+        // and the stream never holds more than a page plus the summary
+        // spans.
         let db = key_local(6);
         const PAGE: usize = 8;
-        let expected = parallel_engine().count_all_completions(&db).unwrap();
+        let expected = BacktrackingEngine::sequential()
+            .count_all_completions(&db)
+            .unwrap();
         assert_eq!(expected.to_u64(), Some(729), "instance sanity");
-        for engine in [BacktrackingEngine::sequential(), parallel_engine()] {
-            let workers = engine.threads();
-            let mut stream = all_completions_stream(&db, PAGE)
-                .unwrap()
-                .with_engine(engine);
-            let mut drained = 0usize;
-            while stream.next_key().is_some() {
-                drained += 1;
-            }
-            assert_eq!(incdb_bignum::BigNat::from(drained), expected);
-            let peak = stream.peak_resident();
-            assert!(
-                peak <= workers * PAGE + 2 * summary_cap_nodes(PAGE),
-                "{workers} workers: {peak} resident"
-            );
-            assert!(peak < drained, "{workers} workers: {peak} resident");
+        let mut stream = all_completions_stream(&db, PAGE).unwrap();
+        let mut drained = 0usize;
+        while stream.next_key().is_some() {
+            drained += 1;
         }
+        assert_eq!(incdb_bignum::BigNat::from(drained), expected);
+        let peak = stream.peak_resident();
+        assert!(
+            peak <= PAGE + 2 * summary_cap_nodes(PAGE),
+            "{peak} resident"
+        );
+        assert!(peak < drained, "{peak} resident");
     }
 
     #[test]
@@ -620,49 +453,17 @@ mod tests {
             let mut head = CompletionStream::new(&db, &q, 2).unwrap();
             let prefix: Vec<Database> = head.by_ref().take(split).collect();
             // Round-trip the cursor through its wire format, as a serving
-            // layer would — resuming onto a *parallel* stream must continue
-            // the identical sequence.
+            // layer would — resuming at another page size must continue the
+            // identical sequence.
             let ticket = head.cursor().encode();
             let tail: Vec<Database> =
                 CompletionStream::resume(&db, &q, 3, Cursor::decode(&ticket).unwrap())
                     .unwrap()
-                    .with_engine(parallel_engine())
                     .collect();
             let mut rejoined = prefix;
             rejoined.extend(tail);
             assert_eq!(rejoined, full, "split at {split}");
         }
-    }
-
-    #[test]
-    fn parallel_fill_scratch_is_reused_across_refills() {
-        // 81 completions at page size 7: a dozen parallel fills. The
-        // per-worker heaps persist and recycle their keys, so the number of
-        // from-scratch key allocations in the fill scratch is bounded by
-        // workers × (page + 1) — flat in the number of passes. Before the
-        // scratch became persistent, every pass allocated fresh heaps.
-        let mut db = IncompleteDatabase::new_non_uniform();
-        for i in 0..4u32 {
-            db.add_fact(
-                "R",
-                vec![Value::null(i), Value::constant(100 + u64::from(i))],
-            )
-            .unwrap();
-            db.set_domain(NullId(i), [0u64, 1, 2]).unwrap();
-        }
-        let mut stream = all_completions_stream(&db, 7)
-            .unwrap()
-            .with_engine(parallel_engine());
-        assert_eq!(stream.by_ref().count(), 81);
-        assert!(stream.passes() >= 81 / 7, "many fills actually ran");
-        let bound = (parallel_engine().threads() * (7 + 1)) as u64;
-        assert!(
-            stream.fill_scratch_fresh_keys() <= bound,
-            "fill scratch allocated {} fresh keys across {} passes, bound {}",
-            stream.fill_scratch_fresh_keys(),
-            stream.passes(),
-            bound
-        );
     }
 
     #[test]
@@ -704,6 +505,40 @@ mod tests {
             page_from_session(&mut session, &cursor, 2, &mut page).last_key() == cursor.last_key()
         );
         assert!(page.is_empty());
+    }
+
+    /// A query that is not `Sync`: it counts its model checks in a `Cell`.
+    struct CountedChecks<'q> {
+        inner: &'q Bcq,
+        checks: Cell<usize>,
+    }
+
+    impl BooleanQuery for CountedChecks<'_> {
+        fn holds(&self, db: &Database) -> bool {
+            self.checks.set(self.checks.get() + 1);
+            self.inner.holds(db)
+        }
+
+        fn signature(&self) -> BTreeSet<String> {
+            self.inner.signature()
+        }
+    }
+
+    #[test]
+    fn streams_a_query_that_is_not_sync() {
+        let db = example_2_2();
+        let bcq: Bcq = "S(x,x)".parse().unwrap();
+        let q = CountedChecks {
+            inner: &bcq,
+            checks: Cell::new(0),
+        };
+        let drained: Vec<Database> = CompletionStream::new(&db, &q, 2).unwrap().collect();
+        let expected: Vec<Database> = CompletionStream::new(&db, &bcq, 2).unwrap().collect();
+        assert_eq!(drained, expected);
+        assert!(
+            q.checks.get() > 0,
+            "leaves are model-checked through the Cell"
+        );
     }
 
     #[test]
