@@ -43,7 +43,7 @@
 //! Since the session refactor this module is the **policy** half of the
 //! engine: routing (shard or not), the sharding threshold with its builder
 //! method, and the [`TaskQueue`] scheduler that every parallel loop of the
-//! workspace (engine counts, page fills, shard batches, serve batches) runs
+//! workspace (engine counts, shard batches, serve batches) runs
 //! on. The **mechanism** — the walks themselves, with their persistent
 //! grounding / residual-state / search-plan context — lives in
 //! [`crate::session`] as
@@ -67,9 +67,7 @@ use incdb_bignum::{BigNat, NatAccumulator};
 use incdb_data::{Constant, DataError, Database, Grounding, IncompleteDatabase};
 use incdb_query::{BooleanQuery, PartialOutcome};
 
-pub use crate::session::{
-    ClassAction, CompletionVisitor, Mark, PageSummary, SearchSession, StealGate,
-};
+pub use crate::session::{ClassAction, CompletionVisitor, PageSummary, SearchSession};
 use crate::session::{CollectKeys, CountValuations};
 
 /// A strategy for exactly counting valuations and completions.
@@ -199,7 +197,7 @@ impl CountingEngine for NaiveEngine {
 /// The engine instantiates it with prefix assignments (`Vec<Constant>`)
 /// and splits on steal (when the deque runs dry while some worker still
 /// owns a large subtree, that worker donates its unexplored sibling
-/// branches back through a [`StealGate`]);
+/// branches back to the queue);
 /// the sharded distinct counter instantiates it with batches of fingerprint
 /// hash ranges and donates the ranges a walk evicted to respect its memory
 /// budget; the serving node instantiates it with requests.
@@ -234,7 +232,7 @@ impl<T> TaskQueue<T> {
 
     /// Pops the next task, blocking while running workers may still donate
     /// new ones. Returns `None` once every task has finished.
-    pub(crate) fn next_task(&self) -> Option<T> {
+    fn next_task(&self) -> Option<T> {
         let mut s = self.state.lock().expect("engine task queue poisoned");
         loop {
             if let Some(task) = s.tasks.pop_front() {
@@ -253,7 +251,7 @@ impl<T> TaskQueue<T> {
     /// was the last. Runs from a drop guard, also while a task unwinds, so
     /// it must not panic: no update under the lock can leave the state
     /// half-written, and a poisoned lock is taken as is.
-    pub(crate) fn finish_task(&self) {
+    fn finish_task(&self) {
         let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         s.unfinished -= 1;
         let done = s.unfinished == 0;
@@ -456,9 +454,8 @@ impl BacktrackingEngine {
     /// `order`), or `None` when the engine should run sequentially: fewer
     /// than two workers, or fewer total valuations than the
     /// [threshold](BacktrackingEngine::with_parallel_threshold) (the
-    /// boundary is inclusive). Exposed so session-holding callers can reuse
-    /// the engine's routing policy over their own task walks.
-    pub fn shard_plan(&self, g: &Grounding, order: &[usize]) -> Option<Vec<Vec<Constant>>> {
+    /// boundary is inclusive).
+    fn shard_plan(&self, g: &Grounding, order: &[usize]) -> Option<Vec<Vec<Constant>>> {
         if self.threads < 2 || order.is_empty() {
             return None;
         }
@@ -518,7 +515,7 @@ impl BacktrackingEngine {
             prefixes,
             workers.collect(),
             |(session, sink), prefix, queue| {
-                session.walk_task(&prefix, Some(&StealGate::new(queue)), sink);
+                session.walk_task(&prefix, Some(queue), sink);
             },
         );
         done.into_iter().map(|(_, sink)| sink).collect()

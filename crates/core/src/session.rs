@@ -20,22 +20,21 @@
 //! closed form (#Val), [`CollectKeys`] dedups every satisfying leaf by
 //! residual key (#Comp), class-aware sinks count whole completion classes
 //! at the separation cut, and [`PageSink`] selects one bounded page of the
-//! canonical completion order. The walk starts at the root
+//! canonical completion order. Callers walk from the root
 //! ([`walk`](SearchSession::walk), or [`count`](SearchSession::count) for
-//! #Val) or at a task prefix for work-stealing schedulers
-//! ([`walk_task`](SearchSession::walk_task)). A root walk first returns the
-//! session to its root state through the cheap rewind protocol
-//! ([`Grounding::reset`] + [`ResidualState::rewind`]) — a reset, not a
-//! rebuild — so consecutive walks amortise the entire setup.
+//! #Val); the engine's work-stealing counter also walks task prefixes. A
+//! root walk first returns the session to its root state through the cheap
+//! rewind protocol ([`Grounding::reset`] + [`ResidualState::rewind`]) — a
+//! reset, not a rebuild — so consecutive walks amortise the entire setup.
 //! [`fork`](SearchSession::fork) clones a session for another worker by
 //! cloning the compiled state ([`ResidualState::boxed_clone`]) and sharing
 //! the plan, again skipping recompilation.
 //!
 //! This module is the **mechanism** half of the engine split: it knows how
-//! to walk, donate subtrees through a [`StealGate`], and keep the residual
-//! state in sync through the grounding's dirty-null channel. The **policy**
-//! half — routing, thresholds, worker counts, [`TaskQueue`] scheduling —
-//! stays in [`crate::engine`], and the streaming subsystem (`incdb-stream`)
+//! to walk, donate subtrees to a [`TaskQueue`], and keep the residual state
+//! in sync through the grounding's dirty-null channel. The **policy** half
+//! — routing, thresholds, worker counts, [`TaskQueue`] scheduling — stays
+//! in [`crate::engine`], and the streaming subsystem (`incdb-stream`)
 //! drives sessions directly for shard-walk reuse and page fills.
 //!
 //! [`BacktrackingEngine`]: crate::engine::BacktrackingEngine
@@ -75,8 +74,7 @@ pub enum ClassAction {
 /// valuation counting, leaf visiting, class counting and page selection
 /// consume the same depth-first search over valuations.
 ///
-/// [`SearchSession::walk`] and [`SearchSession::walk_task`] drive the sink.
-/// Every hook but [`leaf`] has a no-op default, and the walk is compiled
+/// [`SearchSession::walk`] drives the sink. Every hook but [`leaf`] has a no-op default, and the walk is compiled
 /// per sink type, so a hook a sink leaves alone costs nothing per node.
 /// `Refuted` subtrees are pruned before any hook sees a leaf. Distinct
 /// completions are **not** deduplicated at this layer — several valuations
@@ -120,8 +118,6 @@ pub trait CompletionVisitor {
     /// `Satisfied`.
     ///
     /// The default descends, which reproduces the plain leaf walk exactly.
-    /// Class-aware walks must enter the tree at task prefixes no deeper
-    /// than the cut, or the hook is skipped for that task.
     fn class_node(&mut self, _g: &Grounding, _decided: bool) -> ClassAction {
         ClassAction::Descend
     }
@@ -134,8 +130,7 @@ pub trait CompletionVisitor {
     }
 
     /// Called before the walk descends into value `k` of the depth-`depth`
-    /// null's domain (and, in a task walk, for each prefix level). Return
-    /// `false` to skip that child. Every `true` is matched by a
+    /// null's domain. Return `false` to skip that child. Every `true` is matched by a
     /// [`leave`](CompletionVisitor::leave) once the child is done.
     fn enter(&mut self, _depth: usize, _k: usize) -> bool {
         true
@@ -149,9 +144,7 @@ pub trait CompletionVisitor {
     fn refuted(&mut self, _depth: usize) {}
 
     /// Called when the walk has finished the current node, at `depth`.
-    /// `whole` reports whether this walk alone covered the node's subtree:
-    /// true for leaves and for walks that donate nothing.
-    fn finished(&mut self, _depth: usize, _whole: bool) {}
+    fn finished(&mut self, _depth: usize) {}
 
     /// Whether the sink takes a decided subtree at `depth`, below the
     /// separation cut, as closed-form keys through
@@ -236,11 +229,11 @@ impl CompletionVisitor for CollectKeys {
 /// matter which page the walk was serving. That invariance is what makes
 /// carrying marks across pages sound.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Mark {
+pub(crate) enum Mark {
     /// Nothing recorded yet; the node must be walked.
     Unvisited,
     /// Proven to contain no satisfying completion (a `Refuted` residual, or
-    /// a completed sequential walk that observed nothing).
+    /// a completed walk that observed nothing).
     Empty,
     /// The smallest and largest satisfying completion keys of the node.
     Span(CompletionKey, CompletionKey),
@@ -279,46 +272,18 @@ impl Mark {
             _ => unreachable!("union over known children only"),
         }
     }
-
-    /// Merges another exact-or-unknown record of the same node. Marks are
-    /// walk-invariant, so two known marks can only agree (or one subsumes a
-    /// partial observation of the other) — union is always sound.
-    fn merge_from(&mut self, other: &Mark) {
-        match (&mut *self, other) {
-            (_, Mark::Unvisited) => {}
-            (Mark::Unvisited, m) => *self = m.clone(),
-            (Mark::Empty, Mark::Empty) => {}
-            (Mark::Span(min, max), Mark::Span(omin, omax)) => {
-                if omin < min {
-                    *min = omin.clone();
-                }
-                if omax > max {
-                    *max = omax.clone();
-                }
-            }
-            (slot, m) => {
-                debug_assert!(
-                    false,
-                    "Empty and Span marks for one node: {slot:?} vs {m:?}"
-                );
-                if matches!(slot, Mark::Empty) {
-                    *slot = m.clone();
-                }
-            }
-        }
-    }
 }
 
 /// The compressed fingerprint summary a [`CompletionStream`]-style pager
-/// carries across selection walks: per-prefix subtree [`Mark`]s for the
-/// first `depth` levels of the plan, recorded during previous walks, so
-/// each new walk prunes subtrees provably **below the cursor** (all keys
-/// `≤ after`), provably **beyond the page** (all keys `≥` the page's
-/// running maximum once it is full), or provably empty — before descending
-/// into them.
+/// carries across selection walks: per-prefix subtree marks (unvisited,
+/// proven empty, or the min/max completion key) for the first `depth`
+/// levels of the plan, recorded during previous walks, so each new walk
+/// prunes subtrees provably **below the cursor** (all keys `≤ after`),
+/// provably **beyond the page** (all keys `≥` the page's running maximum
+/// once it is full), or provably empty — before descending into them.
 ///
-/// Only the bottom level is recorded during walks (through a
-/// [`PageSummary::worksheet`]); internal levels are re-derived bottom-up in
+/// A recording walk ([`PageSink::recording`]) writes only the bottom level,
+/// in place; internal levels are re-derived bottom-up in
 /// [`PageSummary::absorb`], and a node with incompletely-known children
 /// keeps its previous (still exact) mark. Memory is bounded by the
 /// `cap_nodes` passed to [`PageSummary::plan`]: roughly two completion keys
@@ -338,9 +303,9 @@ pub struct PageSummary {
 
 impl PageSummary {
     /// Chooses the deepest plan prefix whose cumulative node count stays
-    /// within `cap_nodes` and builds the all-[`Mark::Unvisited`] summary
-    /// for it. A depth of 0 (e.g. a huge first domain) degrades gracefully
-    /// to tracking just the global completion span.
+    /// within `cap_nodes` and builds the all-unvisited summary for it. A
+    /// depth of 0 (e.g. a huge first domain) degrades gracefully to
+    /// tracking just the global completion span.
     pub fn plan(g: &Grounding, order: &[usize], cap_nodes: usize) -> PageSummary {
         let mut widths = Vec::new();
         let mut nodes = 1usize;
@@ -375,36 +340,10 @@ impl PageSummary {
         self.depth
     }
 
-    /// The number of bottom-level nodes — the length of a worksheet.
-    pub fn bottom_len(&self) -> usize {
-        self.levels[self.depth].len()
-    }
-
-    /// A fresh all-[`Mark::Unvisited`] bottom-level observation sheet for
-    /// one walk.
-    pub fn worksheet(&self) -> Vec<Mark> {
-        vec![Mark::Unvisited; self.bottom_len()]
-    }
-
-    /// Resets a previously used worksheet to all-[`Mark::Unvisited`] **in
-    /// place**, reusing its allocation — what a long-lived pager calls
-    /// between page fills instead of allocating a fresh
-    /// [`worksheet`](PageSummary::worksheet) each time.
-    /// Adapts the length if the summary changed (e.g. a rebuilt session).
-    pub fn refresh_worksheet(&self, sheet: &mut Vec<Mark>) {
-        sheet.clear();
-        sheet.resize(self.bottom_len(), Mark::Unvisited);
-    }
-
-    /// Folds one walk's worksheet into the summary: bottom marks merge
-    /// (unvisited sheet entries leave the carried mark untouched), then
-    /// internal levels are re-derived bottom-up, keeping the previous mark
-    /// wherever some child is still unknown.
-    pub fn absorb(&mut self, sheet: &[Mark]) {
-        debug_assert_eq!(sheet.len(), self.bottom_len());
-        for (slot, mark) in self.levels[self.depth].iter_mut().zip(sheet) {
-            slot.merge_from(mark);
-        }
+    /// Re-derives the internal levels bottom-up from the bottom marks a
+    /// recording walk left, keeping the previous mark wherever some child
+    /// is still unknown. Call it after every recording walk.
+    pub fn absorb(&mut self) {
         for l in (0..self.depth).rev() {
             let w = self.widths[l];
             let (uppers, lowers) = self.levels.split_at_mut(l + 1);
@@ -423,9 +362,9 @@ impl PageSummary {
         }
     }
 
-    /// The recorded mark of one node.
-    fn mark(&self, level: usize, node: usize) -> &Mark {
-        &self.levels[level][node]
+    /// The marks of the recorded bottom level, one per bottom node.
+    fn bottom(&mut self) -> &mut [Mark] {
+        &mut self.levels[self.depth]
     }
 
     /// `true` when the summary *proves* no completion beyond `after`
@@ -457,20 +396,16 @@ impl PageSummary {
 /// smallest distinct completion keys strictly greater than `after`
 /// (displacing the running maximum once the page fills) — the paging
 /// primitive behind `incdb-stream`'s `CompletionStream`. Resident memory is
-/// `O(cap)` keys regardless of how many completions exist.
-///
-/// The heap is not cleared first: pre-existing entries participate in the
-/// bound, so several walks (e.g. task walks over a partition of the tree)
-/// can accumulate into one heap.
+/// `O(cap)` keys regardless of how many completions exist. Pre-existing
+/// entries of the heap participate in the bound.
 ///
 /// With [`recording`](PageSink::recording) the sink runs the
 /// cursor-pruning summary protocol: previous walks' marks prune subtrees
 /// provably below `after`, provably beyond a full page, or provably empty,
-/// and this walk's observations land in a bottom worksheet
-/// ([`PageSummary::worksheet`]), to be folded back via
-/// [`PageSummary::absorb`] afterwards. A recording sink also emits decided
-/// separable subtrees in closed form. The page is **exactly** the page an
-/// unrecorded walk produces; only the work differs.
+/// and this walk's observations land in the summary's bottom level, to be
+/// folded upwards via [`PageSummary::absorb`] afterwards. A recording sink
+/// also emits decided separable subtrees in closed form. The page is
+/// **exactly** the page an unrecorded walk produces; only the work differs.
 pub struct PageSink<'c> {
     after: Option<&'c CompletionKey>,
     cap: usize,
@@ -479,14 +414,7 @@ pub struct PageSink<'c> {
     /// The summary node the walk is in: its index among the nodes of level
     /// `min(depth, summary depth)`.
     node: usize,
-    rec: Option<PageRecorder<'c>>,
-}
-
-/// The recording half of a pruned selection walk: reads the carried
-/// summary for pruning, writes fresh observations into a bottom worksheet.
-struct PageRecorder<'c> {
-    summary: &'c PageSummary,
-    bottom: &'c mut [Mark],
+    summary: Option<&'c mut PageSummary>,
 }
 
 impl<'c> PageSink<'c> {
@@ -499,21 +427,24 @@ impl<'c> PageSink<'c> {
             page,
             scratch: CompletionKey::new(),
             node: 0,
-            rec: None,
+            summary: None,
         }
     }
 
-    /// Attaches the summary protocol: `summary` prunes, `bottom` (a
-    /// [`PageSummary::worksheet`]) records.
-    pub fn recording(mut self, summary: &'c PageSummary, bottom: &'c mut [Mark]) -> Self {
-        self.rec = Some(PageRecorder { summary, bottom });
+    /// Attaches the summary protocol: `summary` prunes, and its bottom
+    /// level records in place. Sound because below the summary depth a
+    /// walk never prunes a node it entered, so a bottom mark recorded in
+    /// place is complete once the node is finished, and a node's mark is
+    /// read for pruning only before the node is entered.
+    pub fn recording(mut self, summary: &'c mut PageSummary) -> Self {
+        self.summary = Some(summary);
         self
     }
 
     /// Can the level-`level` node `node` be skipped outright for the page
     /// currently being built?
-    fn prunable(&self, rec: &PageRecorder<'_>, level: usize, node: usize) -> bool {
-        match rec.summary.mark(level, node) {
+    fn prunable(&self, summary: &PageSummary, level: usize, node: usize) -> bool {
+        match &summary.levels[level][node] {
             Mark::Unvisited => false,
             Mark::Empty => true,
             Mark::Span(min, max) => {
@@ -539,14 +470,14 @@ impl CompletionVisitor for PageSink<'_> {
     }
 
     fn enter(&mut self, depth: usize, k: usize) -> bool {
-        let Some(rec) = &self.rec else {
+        let Some(summary) = self.summary.as_deref() else {
             return true;
         };
-        if depth >= rec.summary.depth {
+        if depth >= summary.depth {
             return true;
         }
-        let child = self.node * rec.summary.widths[depth] + k;
-        if self.prunable(rec, depth + 1, child) {
+        let child = self.node * summary.widths[depth] + k;
+        if self.prunable(summary, depth + 1, child) {
             return false;
         }
         self.node = child;
@@ -554,20 +485,20 @@ impl CompletionVisitor for PageSink<'_> {
     }
 
     fn leave(&mut self, depth: usize) {
-        if let Some(rec) = &self.rec {
-            if depth < rec.summary.depth {
-                self.node /= rec.summary.widths[depth];
+        if let Some(summary) = &self.summary {
+            if depth < summary.depth {
+                self.node /= summary.widths[depth];
             }
         }
     }
 
     /// A `Refuted` residual at `depth ≤` the summary depth proves every
-    /// bottom descendant of the node empty, in any walk mode.
+    /// bottom descendant of the node empty.
     fn refuted(&mut self, depth: usize) {
-        if let Some(rec) = &mut self.rec {
-            if depth <= rec.summary.depth {
-                let stride: usize = rec.summary.widths[depth..].iter().product();
-                for slot in &mut rec.bottom[self.node * stride..(self.node + 1) * stride] {
+        if let Some(summary) = &mut self.summary {
+            if depth <= summary.depth {
+                let stride: usize = summary.widths[depth..].iter().product();
+                for slot in &mut summary.bottom()[self.node * stride..(self.node + 1) * stride] {
                     if matches!(slot, Mark::Unvisited) {
                         *slot = Mark::Empty;
                     }
@@ -577,29 +508,28 @@ impl CompletionVisitor for PageSink<'_> {
     }
 
     /// Marks a bottom node empty if the walk finished all of it without
-    /// observing a satisfying leaf. A walk that may have donated part of
-    /// the node saw only part of it, and marks nothing.
-    fn finished(&mut self, depth: usize, whole: bool) {
-        if let Some(rec) = &mut self.rec {
-            if whole
-                && depth == rec.summary.depth
-                && matches!(rec.bottom[self.node], Mark::Unvisited)
-            {
-                rec.bottom[self.node] = Mark::Empty;
+    /// observing a satisfying leaf.
+    fn finished(&mut self, depth: usize) {
+        if let Some(summary) = &mut self.summary {
+            if depth == summary.depth {
+                let slot = &mut summary.bottom()[self.node];
+                if matches!(slot, Mark::Unvisited) {
+                    *slot = Mark::Empty;
+                }
             }
         }
     }
 
     fn generates(&self, depth: usize) -> bool {
-        self.rec.as_ref().is_some_and(|r| depth >= r.summary.depth)
+        self.summary.as_ref().is_some_and(|s| depth >= s.depth)
     }
 
     /// The admission path shared by walked and generated keys. Records the
     /// observation first — marks must describe the node's true key span,
     /// independent of the page served — then offers the key to the page.
     fn generated(&mut self, key: &CompletionKey) {
-        if let Some(rec) = &mut self.rec {
-            rec.bottom[self.node].observe(key);
+        if let Some(summary) = &mut self.summary {
+            summary.bottom()[self.node].observe(key);
         }
         self.page.admit(key, self.after, self.cap);
     }
@@ -709,37 +639,10 @@ impl ClassPlan {
     }
 }
 
-/// A donation point for work-stealing walks: the shared queue plus the
-/// policy threshold below which subtrees are not worth splitting off.
-///
-/// Sessions are pure mechanism — they donate unexplored sibling branches
-/// through the gate whenever another worker starves, but the queue and the
-/// threshold are chosen by the caller: [`StealGate::new`] sets the
-/// workspace's one threshold, and tests set their own.
-pub struct StealGate<'a> {
-    /// The queue starving workers pop from; donated prefixes must follow
-    /// the same order as the session's [`SearchSession::order`].
-    pub queue: &'a TaskQueue<Vec<Constant>>,
-    /// Subtrees with fewer valuations than this are never donated: queue
-    /// round-trips would cost more than just searching them locally.
-    pub min_split_valuations: u64,
-}
-
-/// The donation floor of [`StealGate::new`]: subtrees smaller than this
+/// The donation floor of work-stealing walks: subtrees smaller than this
 /// many valuations are never donated — queue round-trips would cost more
 /// than just searching them locally.
 const MIN_SPLIT_VALUATIONS: u64 = 64;
-
-impl<'a> StealGate<'a> {
-    /// A gate over `queue` that never donates a subtree of fewer than 64
-    /// valuations.
-    pub fn new(queue: &'a TaskQueue<Vec<Constant>>) -> Self {
-        StealGate {
-            queue,
-            min_split_valuations: MIN_SPLIT_VALUATIONS,
-        }
-    }
-}
 
 /// A persistent walk context over one incomplete database and one query:
 /// the built grounding, the compiled residual state and the search plan,
@@ -834,9 +737,9 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
         &self.g
     }
 
-    /// The DFS null exploration order of every walk on this session. Task
-    /// prefixes handed to [`walk_task`](SearchSession::walk_task) assign
-    /// `order()[0..k]` in this order.
+    /// The DFS null exploration order of every walk on this session; task
+    /// prefixes of the engine's work-stealing counter assign `order()[0..k]`
+    /// in this order.
     pub fn order(&self) -> &[usize] {
         &self.plan.order
     }
@@ -859,8 +762,7 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
     /// Returns the session to its root state — every null unbound, the
     /// residual state back at its construction snapshot — at reset cost
     /// (`O(touched occurrences)` plus a status memcpy), not rebuild cost.
-    /// Root walks call this themselves; it only needs to be called
-    /// explicitly around [`walk_task`](SearchSession::walk_task) use.
+    /// Root walks call this themselves.
     pub fn rewind(&mut self) {
         self.g.reset();
         // Discard the pending dirty batch: the wholesale state rewind below
@@ -980,17 +882,22 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
     }
 
     /// Donates the unexplored sibling branches `order[depth] ↦ dom[from..]`
-    /// if another worker is starving and the subtree is worth splitting.
-    /// Returns `true` if the siblings now belong to the queue.
-    fn maybe_donate(&mut self, depth: usize, from: usize, steal: Option<&StealGate<'_>>) -> bool {
-        let Some(gate) = steal else {
+    /// to `steal` if another worker is starving and the subtree is worth
+    /// splitting. Returns `true` if the siblings now belong to the queue.
+    fn maybe_donate(
+        &mut self,
+        depth: usize,
+        from: usize,
+        steal: Option<&TaskQueue<Vec<Constant>>>,
+    ) -> bool {
+        let Some(queue) = steal else {
             return false;
         };
-        if self.plan.hint[depth + 1] < gate.min_split_valuations || !gate.queue.wants_work() {
+        if self.plan.hint[depth + 1] < MIN_SPLIT_VALUATIONS || !queue.wants_work() {
             return false;
         }
         let dom = self.g.domain_by_index(self.plan.order[depth]);
-        gate.queue.donate((from..dom.len()).map(|j| {
+        queue.donate((from..dom.len()).map(|j| {
             let mut prefix = self.path.clone();
             prefix.push(dom[j]);
             prefix
@@ -1026,41 +933,22 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
         self.descend(0, false, None, sink)
     }
 
-    /// Walks one task's subtree: the prefix assigns
-    /// `order()[0..prefix.len()]`, and unexplored sibling branches are
-    /// donated through `steal` when other workers starve. The sink first
-    /// [`enter`](CompletionVisitor::enter)s each prefix level, so a
-    /// recording [`PageSink`] drops a task whose ancestor is already served
-    /// without binding anything; otherwise the session seeks to the prefix
-    /// at reset cost. Returns `false` if the sink stopped the walk.
-    pub fn walk_task<S>(
+    /// Walks one task's subtree of the engine's work-stealing counter: the
+    /// prefix assigns `order()[0..prefix.len()]`, the session seeks to it at
+    /// reset cost, and unexplored sibling branches are donated to `steal`
+    /// when other workers starve. Returns `false` if the sink stopped the
+    /// walk.
+    pub(crate) fn walk_task<S>(
         &mut self,
         prefix: &[Constant],
-        steal: Option<&StealGate<'_>>,
+        steal: Option<&TaskQueue<Vec<Constant>>>,
         sink: &mut S,
     ) -> bool
     where
         S: CompletionVisitor + ?Sized,
     {
-        let mut entered = 0;
-        while entered < prefix.len() {
-            let dom = self.g.domain_by_index(self.plan.order[entered]);
-            let k = dom
-                .binary_search(&prefix[entered])
-                .expect("task prefixes assign domain values");
-            if !sink.enter(entered, k) {
-                break;
-            }
-            entered += 1;
-        }
-        let keep_going = entered < prefix.len() || {
-            self.start_task(prefix);
-            self.descend(prefix.len(), false, steal, sink)
-        };
-        for depth in (0..entered).rev() {
-            sink.leave(depth);
-        }
-        keep_going
+        self.start_task(prefix);
+        self.descend(prefix.len(), false, steal, sink)
     }
 
     /// The one walk: `decided` records that an ancestor already proved the
@@ -1071,7 +959,7 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
         &mut self,
         depth: usize,
         decided: bool,
-        steal: Option<&StealGate<'_>>,
+        steal: Option<&TaskQueue<Vec<Constant>>>,
         sink: &mut S,
     ) -> bool
     where
@@ -1113,12 +1001,12 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
                 self.q.holds(&self.scratch)
             };
             let keep_going = !satisfied || sink.leaf(&self.g);
-            sink.finished(depth, true);
+            sink.finished(depth);
             return keep_going;
         }
         if decided && depth >= self.plan.sep_cut && sink.generates(depth) {
             self.generate_separable(depth, sink);
-            sink.finished(depth, steal.is_none());
+            sink.finished(depth);
             return true;
         }
         let i = self.plan.order[depth];
@@ -1141,7 +1029,7 @@ impl<'q, Q: BooleanQuery + ?Sized> SearchSession<'q, Q> {
         }
         self.g.unbind_index(i);
         if keep_going {
-            sink.finished(depth, steal.is_none());
+            sink.finished(depth);
         }
         keep_going
     }
@@ -1505,11 +1393,9 @@ mod tests {
                     break;
                 }
                 let mut page = PageHeap::new();
-                let mut sheet = summary.worksheet();
-                let mut sink =
-                    PageSink::new(pruned.last(), 3, &mut page).recording(&summary, &mut sheet);
-                session.walk(&mut sink);
-                summary.absorb(&sheet);
+                session
+                    .walk(&mut PageSink::new(pruned.last(), 3, &mut page).recording(&mut summary));
+                summary.absorb();
                 let done = page.len() < 3;
                 pruned.extend(page.drain());
                 if done {
@@ -1522,63 +1408,6 @@ mod tests {
             assert!(summary.served(pruned.last()), "cap_nodes {cap_nodes}");
             assert!(summary.resident_keys() > 0);
             let _ = exhausted_early;
-        }
-    }
-
-    #[test]
-    fn subtree_recorded_walks_merge_like_sequential_ones() {
-        let db = mixed_instance();
-        let q = Tautology;
-        let mut session = SearchSession::new(&db, &q).unwrap();
-        let first = session.order()[0];
-        let dom: Vec<Constant> = session.grounding().domain_by_index(first).to_vec();
-        // An idle gate never donates (no worker starves), but a gated task
-        // walk must still assume it might have and mark no completed node
-        // empty; an ungated one covers its subtree alone.
-        let queue = TaskQueue::new(Vec::new());
-        let gate = StealGate {
-            queue: &queue,
-            min_split_valuations: 1,
-        };
-        for steal in [None, Some(&gate)] {
-            let mut summary = PageSummary::plan(session.grounding(), session.order(), 64);
-            let mut after: Option<CompletionKey> = None;
-            let mut expected_pages: Vec<CompletionKey> = Vec::new();
-            let mut got_pages: Vec<CompletionKey> = Vec::new();
-            loop {
-                // Reference page, unpruned sequential walk.
-                let mut reference = PageHeap::new();
-                session.walk(&mut PageSink::new(after.as_ref(), 4, &mut reference));
-                // Task-walk fill: one recorded task walk per first-level
-                // branch, each with its own worksheet, absorbed one sheet at
-                // a time afterwards.
-                let mut merged = PageHeap::new();
-                let mut sheets: Vec<Vec<Mark>> = Vec::new();
-                for &value in &dom {
-                    let mut sheet = summary.worksheet();
-                    let mut sink = PageSink::new(after.as_ref(), 4, &mut merged)
-                        .recording(&summary, &mut sheet);
-                    assert!(session.walk_task(&[value], steal, &mut sink));
-                    sheets.push(sheet);
-                }
-                session.rewind();
-                for sheet in &sheets {
-                    summary.absorb(sheet);
-                }
-                assert_eq!(merged.as_slice(), reference.as_slice());
-                let done = reference.len() < 4;
-                expected_pages.extend(reference.iter().cloned());
-                got_pages.extend(merged.drain());
-                after = expected_pages.last().cloned();
-                if done {
-                    break;
-                }
-            }
-            assert_eq!(expected_pages, got_pages);
-            assert!(
-                summary.served(after.as_ref()),
-                "root span known after drain"
-            );
         }
     }
 
@@ -1598,66 +1427,6 @@ mod tests {
     }
 
     #[test]
-    fn donating_task_walks_leave_partially_walked_nodes_unmarked() {
-        // R(⊥0) under R(1): the ⊥0 = 0 branch is refuted, the ⊥0 = 1
-        // branch holds every completion. A task walk that donates the
-        // second branch observes nothing, yet must not mark the root
-        // (the summary's only node) empty.
-        let mut db = IncompleteDatabase::new_non_uniform();
-        db.add_fact("R", vec![Value::null(0)]).unwrap();
-        db.add_fact("S", vec![Value::null(1)]).unwrap();
-        db.set_domain(NullId(0), [0u64, 1]).unwrap();
-        db.set_domain(NullId(1), [0u64, 1, 2, 3]).unwrap();
-        let q: Bcq = "R(1)".parse().unwrap();
-        let mut session = SearchSession::new(&db, &q).unwrap();
-        let mut summary = PageSummary::plan(session.grounding(), session.order(), 1);
-        assert_eq!(summary.depth(), 0);
-
-        let queue = TaskQueue::new(vec![Vec::new()]);
-        let root = queue.next_task().unwrap();
-        let (mut kept, mut kept_sheet) = (PageHeap::new(), summary.worksheet());
-        // Assertions wait until the thief is joined: a panic inside the
-        // scope would leave it blocked on the queue forever.
-        let donated = std::thread::scope(|scope| {
-            let thief = scope.spawn(|| {
-                let mut donated = Vec::new();
-                while let Some(prefix) = queue.next_task() {
-                    donated.push(prefix);
-                    queue.finish_task();
-                }
-                donated
-            });
-            while !queue.wants_work() {
-                std::thread::yield_now();
-            }
-            let gate = StealGate {
-                queue: &queue,
-                min_split_valuations: 1,
-            };
-            let mut sink = PageSink::new(None, 8, &mut kept).recording(&summary, &mut kept_sheet);
-            session.walk_task(&root, Some(&gate), &mut sink);
-            queue.finish_task();
-            thief.join().unwrap()
-        });
-        assert!(kept.is_empty(), "the kept branch is refuted");
-        assert_eq!(
-            kept_sheet,
-            [Mark::Unvisited],
-            "a donating walk marks nothing"
-        );
-        assert!(!donated.is_empty(), "the walk donated its sibling branch");
-        let (mut page, mut sheet) = (PageHeap::new(), summary.worksheet());
-        let mut sink = PageSink::new(None, 8, &mut page).recording(&summary, &mut sheet);
-        for prefix in &donated {
-            session.walk_task(prefix, None, &mut sink);
-        }
-        summary.absorb(&sheet);
-        assert_eq!(page.len(), 4);
-        assert!(summary.served(page.last()));
-        assert!(!summary.served(None));
-    }
-
-    #[test]
     fn summary_prunes_visits_not_just_in_theory() {
         // On a key-local instance the first page exhausts an entire
         // first-level subtree, and the recorded summary must prove it: the
@@ -1670,9 +1439,8 @@ mod tests {
         assert!(summary.depth() >= 1, "two levels fit under 64 nodes");
         // First page, recorded: the 3 completions with ⊥0 = 0 sort first.
         let mut page = PageHeap::new();
-        let mut sheet = summary.worksheet();
-        session.walk(&mut PageSink::new(None, 3, &mut page).recording(&summary, &mut sheet));
-        summary.absorb(&sheet);
+        session.walk(&mut PageSink::new(None, 3, &mut page).recording(&mut summary));
+        summary.absorb();
         assert_eq!(page.len(), 3);
         let cursor = page.last().cloned().unwrap();
         let served_nodes = (0..summary.levels[1].len())
@@ -1688,10 +1456,8 @@ mod tests {
         );
         // The pruned second page still returns the correct remainder.
         let mut rest = PageHeap::new();
-        let mut sheet = summary.worksheet();
-        let mut sink = PageSink::new(Some(&cursor), 8, &mut rest).recording(&summary, &mut sheet);
-        session.walk(&mut sink);
-        summary.absorb(&sheet);
+        session.walk(&mut PageSink::new(Some(&cursor), 8, &mut rest).recording(&mut summary));
+        summary.absorb();
         assert_eq!(rest.len(), 3, "three completions remain past the cursor");
         assert!(rest.iter().all(|k| *k > cursor));
         assert!(
@@ -1726,22 +1492,6 @@ mod tests {
         assert!(session.is_quiescent());
         // 4 nulls over {0,1} and 2 nulls over {0,1,2}: 2⁴·3² valuations.
         assert_eq!(session.count(), BigNat::from(144u64));
-    }
-
-    #[test]
-    fn refresh_worksheet_reuses_the_allocation() {
-        let db = mixed_instance();
-        let q = Tautology;
-        let session = SearchSession::new(&db, &q).unwrap();
-        let summary = PageSummary::plan(session.grounding(), session.order(), 64);
-        let mut sheet = summary.worksheet();
-        let len = sheet.len();
-        let cap = sheet.capacity();
-        sheet[0] = Mark::Empty;
-        summary.refresh_worksheet(&mut sheet);
-        assert_eq!(sheet.len(), len);
-        assert!(sheet.iter().all(|m| matches!(m, Mark::Unvisited)));
-        assert_eq!(sheet.capacity(), cap, "refresh must not reallocate");
     }
 
     #[test]

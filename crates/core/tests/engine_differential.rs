@@ -19,7 +19,7 @@ use incdb_core::session::{
     ClassAction, ClassPlan, CollectKeys, CompletionVisitor, CountValuations, PageSink, PageSummary,
     SearchSession,
 };
-use incdb_data::{CompletionKey, Constant, Database, Grounding, IncompleteDatabase, PageHeap};
+use incdb_data::{CompletionKey, Database, Grounding, IncompleteDatabase, PageHeap};
 use incdb_query::{Bcq, BooleanQuery, FromScratch, NegatedBcq, Ucq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -271,7 +271,7 @@ fn a_panicking_task_reaches_the_caller_on_every_parallel_path() {
             let _ = engine().count_valuations(db, &PanicsOnce);
         }),
         ("shards", |db| {
-            let _ = incdb_stream::count_completions_sharded(db, &PanicsOnce, 4, 2);
+            let _ = incdb_stream::count_completions_budgeted(db, &PanicsOnce, 1, 2);
         }),
     ];
     for (path, call) in paths {
@@ -324,13 +324,10 @@ fn missing_domain_is_an_error_on_every_path() {
 
 /// The class-counting sink: memoises each completion class (the residual
 /// key of the dirty facts at the separation cut) and counts it in closed
-/// form. Task walks that start below the cut never see a class node, so
-/// their leaves are deduplicated by the residual key of the whole
-/// completion instead.
+/// form.
 struct ClassCount {
     class: ClassPlan,
     classes: HashSet<CompletionKey>,
-    leaves: HashSet<CompletionKey>,
     scratch: CompletionKey,
     total: BigNat,
 }
@@ -340,23 +337,15 @@ impl ClassCount {
         ClassCount {
             class: session.class_plan(),
             classes: HashSet::new(),
-            leaves: HashSet::new(),
             scratch: CompletionKey::new(),
             total: BigNat::zero(),
         }
     }
-
-    fn distinct(&self) -> BigNat {
-        &self.total + &BigNat::from(self.leaves.len())
-    }
 }
 
 impl CompletionVisitor for ClassCount {
-    fn leaf(&mut self, g: &Grounding) -> bool {
-        let mut key = CompletionKey::new();
-        g.residual_key_into(g.full_key_plan(), &mut key).unwrap();
-        self.leaves.insert(key);
-        true
+    fn leaf(&mut self, _g: &Grounding) -> bool {
+        unreachable!("a root walk classes every satisfying leaf at the cut");
     }
 
     fn class_node(&mut self, g: &Grounding, _decided: bool) -> ClassAction {
@@ -392,14 +381,12 @@ impl CompletionVisitor for CanonicalLeaves {
 }
 
 /// Drains every page of the canonical completion order, `size` keys per
-/// page. Each page is filled by a root walk when `tasks` is `None`, and by
-/// one task walk per prefix otherwise; with `summary_cap` the walks prune
-/// by and record into a carried page summary.
+/// page, one root walk per page; with `summary_cap` the walks prune by and
+/// record into a carried page summary.
 fn drain_pages(
     session: &mut SearchSession<'_, Bcq>,
     size: usize,
     summary_cap: Option<usize>,
-    tasks: Option<&[Vec<Constant>]>,
 ) -> Vec<CompletionKey> {
     let mut summary =
         summary_cap.map(|cap| PageSummary::plan(session.grounding(), session.order(), cap));
@@ -409,21 +396,13 @@ fn drain_pages(
             return keys;
         }
         let mut page = PageHeap::new();
-        let mut sheet = summary.as_ref().map_or(Vec::new(), PageSummary::worksheet);
         let mut sink = PageSink::new(keys.last(), size, &mut page);
-        if let Some(s) = &summary {
-            sink = sink.recording(s, &mut sheet);
-        }
-        match tasks {
-            None => assert!(session.walk(&mut sink)),
-            Some(prefixes) => {
-                for prefix in prefixes {
-                    assert!(session.walk_task(prefix, None, &mut sink));
-                }
-            }
-        }
         if let Some(s) = &mut summary {
-            s.absorb(&sheet);
+            sink = sink.recording(s);
+        }
+        assert!(session.walk(&mut sink));
+        if let Some(s) = &mut summary {
+            s.absorb();
         }
         let done = page.len() < size;
         keys.extend(page.drain());
@@ -434,10 +413,8 @@ fn drain_pages(
 }
 
 #[test]
-fn every_sink_of_the_one_walk_matches_the_seed_and_composes_over_tasks() {
+fn every_sink_of_the_one_walk_matches_the_seed() {
     let mut rng = StdRng::seed_from_u64(1512);
-    let planner = BacktrackingEngine::with_threads(4).with_parallel_threshold(1);
-    let mut sharded = 0usize;
     for query in queries() {
         for codd in [false, true] {
             for uniform in [false, true] {
@@ -465,7 +442,7 @@ fn every_sink_of_the_one_walk_matches_the_seed_and_composes_over_tasks() {
                 );
                 let mut classes = ClassCount::new(&session);
                 assert!(session.walk(&mut classes));
-                assert_eq!(classes.distinct(), expected_comps, "class #Comp {at}");
+                assert_eq!(classes.total, expected_comps, "class #Comp {at}");
 
                 // 3. A full page drain is the sorted leaf keys, with and
                 // without a summary. Pages carry canonical keys, so the
@@ -477,50 +454,13 @@ fn every_sink_of_the_one_walk_matches_the_seed_and_composes_over_tasks() {
                 let sorted: Vec<CompletionKey> = canonical.keys.into_iter().collect();
                 let size = rng.random_range(1usize..=5);
                 let cap = rng.random_range(1usize..=32);
+                assert_eq!(drain_pages(&mut session, size, None), sorted, "pages {at}");
                 assert_eq!(
-                    drain_pages(&mut session, size, None, None),
-                    sorted,
-                    "pages {at}"
-                );
-                assert_eq!(
-                    drain_pages(&mut session, size, Some(cap), None),
+                    drain_pages(&mut session, size, Some(cap)),
                     sorted,
                     "summary pages (cap {cap}) {at}"
                 );
-
-                // 4. Task walks over the engine's shard plan add up to the
-                // root walk, for every sink.
-                let Some(prefixes) = planner.shard_plan(session.grounding(), session.order())
-                else {
-                    continue;
-                };
-                sharded += 1;
-                let mut count = CountValuations::default();
-                let mut leaves_by_task = CollectKeys::default();
-                let mut classes_by_task = ClassCount::new(&session);
-                for prefix in &prefixes {
-                    assert!(session.walk_task(prefix, None, &mut count));
-                    assert!(session.walk_task(prefix, None, &mut leaves_by_task));
-                    assert!(session.walk_task(prefix, None, &mut classes_by_task));
-                }
-                session.rewind();
-                assert_eq!(count.into_total(), vals, "task #Val {at}");
-                assert_eq!(leaves_by_task.keys, leaves.keys, "task leaves {at}");
-                assert_eq!(
-                    classes_by_task.distinct(),
-                    expected_comps,
-                    "task classes {at}"
-                );
-                for summary_cap in [None, Some(cap)] {
-                    assert_eq!(
-                        drain_pages(&mut session, size, summary_cap, Some(&prefixes)),
-                        sorted,
-                        "task pages (summary {summary_cap:?}) {at}"
-                    );
-                    session.rewind();
-                }
             }
         }
     }
-    assert!(sharded > 0, "some instance must shard");
 }

@@ -14,20 +14,18 @@
 //!
 //! * **Sharded distinct counting** ([`shard`]). The 64-bit fingerprint hash
 //!   space ([`incdb_data::fingerprint_hash`]) is partitioned into
-//!   [`incdb_data::HashRange`]s; each shard re-walks the search counting
-//!   only the fingerprints in its range, and the disjoint shard sizes are
-//!   summed. These fingerprints never leave the walk, so they are
-//!   residual keys
+//!   [`incdb_data::HashRange`]s; each walk counts only the fingerprints of
+//!   the ranges it carries, and the disjoint range counts are summed. These
+//!   fingerprints never leave the walk, so they are residual keys
 //!   ([`Grounding::residual_key_into`](incdb_data::Grounding::residual_key_into)):
 //!   a completion's resolved null-hosting facts minus the table's ground
 //!   block, whose size ([`ShardedCount::peak_resident_bytes`]) does not
-//!   grow with the ground table. Fixed partitions ([`count_completions_sharded`]) give `K`
-//!   passes at `≈ 1/K` memory; the budgeted driver
+//!   grow with the ground table. The budgeted driver
 //!   ([`count_completions_budgeted`]) starts unsharded and adaptively
 //!   splits exactly the hash ranges that overflow the budget, with shards
 //!   scheduled on the engine's worker pool
-//!   ([`TaskQueue::run`](incdb_core::engine::TaskQueue::run)). Each worker drives all
-//!   its walks on **one persistent
+//!   ([`TaskQueue::run`](incdb_core::engine::TaskQueue::run)). Each worker
+//!   drives all its walks on **one persistent
 //!   [`SearchSession`](incdb_core::session::SearchSession)** — consecutive
 //!   ranges cost a rewind, not a grounding rebuild plus a residual-state
 //!   recompilation (pinned by [`ShardedCount::sessions_built`] /
@@ -78,8 +76,6 @@ pub mod solver;
 pub mod stream;
 
 pub use cursor::{Cursor, CursorDecodeError};
-pub use shard::{
-    count_completions_budgeted, count_completions_on, count_completions_sharded, ShardedCount,
-};
+pub use shard::{count_completions_budgeted, count_completions_on, ShardedCount};
 pub use solver::StreamOptions;
 pub use stream::{all_completions_stream, page_from_session, CompletionStream};

@@ -19,8 +19,8 @@
 //! * **Single-walk multi-range counting** (`MultiRangeSink`): one search
 //!   walk carries a whole sorted batch of ranges, bucketing every
 //!   fingerprint into its range by binary search ([`HashRange::find`]) in
-//!   `O(log ranges)`. A `K`-range partition costs `min(threads, K)` walks,
-//!   not `K`.
+//!   `O(log ranges)`. A batch of `K` deferred ranges costs one walk, not
+//!   `K`.
 //! * **Eviction instead of restart**: when a budgeted walk's resident set
 //!   would exceed the budget, the walk **evicts the fattest range's set**
 //!   and defers that range to a follow-up walk — the walk itself continues
@@ -40,11 +40,8 @@
 //!   with no separable nulls the cut sits at the leaves and the sink
 //!   degrades to exactly the old per-completion behaviour.
 //!
-//! Three entry points expose the trade-off:
+//! Two entry points expose the trade-off:
 //!
-//! * [`count_completions_sharded`] — a fixed partition into `K` ranges,
-//!   chunked into `min(threads, K)` contiguous batches: one walk per
-//!   worker, expected resident set `≈ total/K` per range.
 //! * [`count_completions_budgeted`] — an explicit **memory budget**
 //!   (maximum resident fingerprints per walk, shared across the walk's
 //!   batch): the driver starts with the full range (one pass, no overhead
@@ -56,9 +53,9 @@
 //!   layer answers every `Count` request with it on a pooled session, so
 //!   served and offline #Comp share one distinct counter.
 //!
-//! All three run one per-walk step: walk a batch, fold its live ranges,
-//! re-queue its evicted ranges as one sorted batch. The first two run
-//! their batches on the engine's worker pool ([`TaskQueue::run`]):
+//! Both run one per-walk step: walk a batch, fold its live ranges,
+//! re-queue its evicted ranges as one sorted batch. The budgeted driver
+//! runs its batches on the engine's worker pool ([`TaskQueue::run`]):
 //! workers pop batches, and deferred ranges are donated back to the
 //! queue, so idle workers immediately pick up the refined remainder of a
 //! dense region. Each worker tallies its own counters, summed when the
@@ -92,11 +89,11 @@ pub struct ShardedCount {
     pub count: BigNat,
     /// The high-water mark of resident fingerprints in any single walk —
     /// the sum over the walk's whole batch, since the budget is shared.
-    /// Under [`count_completions_budgeted`] this never exceeds the budget
-    /// (each worker runs one walk at a time, so with `threads` workers the
-    /// process-wide bound is `budget × threads`), except in the
-    /// astronomically unlikely unsplittable-hash-point case documented
-    /// there.
+    /// This never exceeds the budget (each worker runs one walk at a time,
+    /// so with `threads` workers the process-wide bound is
+    /// `budget × threads`), except in the astronomically unlikely
+    /// unsplittable-hash-point case documented at
+    /// [`count_completions_budgeted`].
     pub peak_resident_fingerprints: usize,
     /// The high-water mark of the resident class keys' heap bytes
     /// ([`key_heap_bytes`]) in any single walk, sampled with
@@ -105,14 +102,13 @@ pub struct ShardedCount {
     /// with the table's ground facts.
     pub peak_resident_bytes: usize,
     /// Search-tree walks performed. Each walk serves a whole batch of
-    /// ranges, so this is `min(threads, ranges)` for a fixed partition and
-    /// `1 + follow-ups` under a budget — the pass count is the price paid
-    /// for the memory bound.
+    /// ranges, so this is `1 + follow-ups` — the pass count is the price
+    /// paid for the memory bound.
     pub passes: usize,
     /// Hash ranges whose fingerprints were actually counted (evicted
     /// attempts excluded — a range deferred `n` times before completing
-    /// still counts once). Under a budget this is the size of the final
-    /// refined partition; `1` means the instance fit in a single range.
+    /// still counts once): the size of the final refined partition; `1`
+    /// means the instance fit in a single range.
     pub counted_shards: usize,
     /// Ranges carried by walks, summed over all walks and including
     /// evicted attempts: `ranges_walked / passes` is the mean batch width,
@@ -159,7 +155,7 @@ struct ActiveRange {
 /// finds the shared resident set full, the fattest range is evicted whole
 /// (its keys dropped, its range deferred); a range that overflows the
 /// budget all by itself is split and both halves deferred; an unsplittable
-/// single hash point is counted unbounded. The walk only stops early when
+/// single hash point is counted in full. The walk only stops early when
 /// every range of the batch has been evicted.
 struct MultiRangeSink<'a> {
     /// The batch's spans, sorted and disjoint — the [`HashRange::find`]
@@ -171,8 +167,8 @@ struct MultiRangeSink<'a> {
     /// resolves only its null-hosting facts into a residual key and looks
     /// them up in the pre-sorted ground block, never copying that block.
     class: &'a ClassPlan,
-    /// Maximum resident keys across the whole batch; `None` is unbounded.
-    budget: Option<usize>,
+    /// Maximum resident keys across the whole batch.
+    budget: usize,
     /// Current resident keys summed over live (non-evicted) ranges.
     resident: usize,
     /// High-water mark of `resident`, sampled when a key is kept — classes
@@ -194,7 +190,7 @@ struct MultiRangeSink<'a> {
 }
 
 impl<'a> MultiRangeSink<'a> {
-    fn new(batch: Vec<HashRange>, budget: Option<usize>, class: &'a ClassPlan) -> Self {
+    fn new(batch: Vec<HashRange>, budget: usize, class: &'a ClassPlan) -> Self {
         debug_assert!(batch.windows(2).all(|w| w[0].last < w[1].start));
         let ranges: Vec<ActiveRange> = batch
             .iter()
@@ -292,7 +288,7 @@ impl CompletionVisitor for MultiRangeSink<'_> {
         if self.ranges[i].evicted || self.ranges[i].keys.contains(&self.scratch) {
             return ClassAction::Skip;
         }
-        if !self.ranges[i].unbounded && self.budget.is_some_and(|b| self.resident >= b) {
+        if !self.ranges[i].unbounded && self.resident >= self.budget {
             // Shared set full: evict before admitting. `make_room` may
             // sacrifice `i` itself, in which case this class is skipped —
             // and once nothing in the batch is live, the rest of the walk
@@ -334,40 +330,6 @@ impl CompletionVisitor for MultiRangeSink<'_> {
     }
 }
 
-/// Counts the distinct completions of `db` satisfying `q` over a fixed
-/// partition of the fingerprint hash space into `shards` ranges, chunked
-/// into `min(threads, shards)` contiguous batches — **one search walk per
-/// batch**, with every fingerprint bucketed into its range in
-/// `O(log shards)`.
-///
-/// The merged count equals the unsharded engine's for **every** `shards ≥
-/// 1` (ranges tile the space and fingerprints are deduplicated per range),
-/// while the expected resident set per range shrinks to `≈ total/shards`.
-/// Note the walk-level resident set is the sum over its batch; use
-/// [`count_completions_budgeted`] for a hard bound.
-///
-/// Returns an error if some null of the table has no domain.
-pub fn count_completions_sharded<Q: BooleanQuery + Sync + ?Sized>(
-    db: &IncompleteDatabase,
-    q: &Q,
-    shards: usize,
-    threads: usize,
-) -> Result<ShardedCount, DataError> {
-    let shards = shards.max(1);
-    let ranges = HashRange::partition(shards);
-    let batches = threads.clamp(1, shards);
-    let initial: Vec<Vec<HashRange>> = (0..batches)
-        .map(|b| {
-            // Contiguous near-equal chunks, the first `shards % batches`
-            // of them one range wider.
-            let lo = (b * shards) / batches;
-            let hi = ((b + 1) * shards) / batches;
-            ranges[lo..hi].to_vec()
-        })
-        .collect();
-    run_shards(db, q, initial, None, threads)
-}
-
 /// Counts the distinct completions of `db` satisfying `q` while keeping
 /// each walk's resident fingerprint set within `budget` (at least 1),
 /// evicting overweight hash ranges to follow-up walks.
@@ -390,13 +352,7 @@ pub fn count_completions_budgeted<Q: BooleanQuery + Sync + ?Sized>(
     budget: usize,
     threads: usize,
 ) -> Result<ShardedCount, DataError> {
-    run_shards(
-        db,
-        q,
-        vec![vec![HashRange::full()]],
-        Some(budget.max(1)),
-        threads,
-    )
+    run_shards(db, q, budget.max(1), threads)
 }
 
 /// Counts the distinct completions satisfying the query of an existing
@@ -416,7 +372,7 @@ pub fn count_completions_on<Q: BooleanQuery + ?Sized>(
     budget: usize,
 ) -> ShardedCount {
     let class = session.class_plan();
-    let budget = Some(budget.max(1));
+    let budget = budget.max(1);
     let mut tally = ShardedCount::default();
     let mut batch = vec![HashRange::full()];
     loop {
@@ -436,7 +392,7 @@ fn walk_batch<Q: BooleanQuery + ?Sized>(
     session: &mut SearchSession<'_, Q>,
     class: &ClassPlan,
     batch: Vec<HashRange>,
-    budget: Option<usize>,
+    budget: usize,
     tally: &mut ShardedCount,
 ) -> Option<Vec<HashRange>> {
     tally.passes += 1;
@@ -463,14 +419,13 @@ fn walk_batch<Q: BooleanQuery + ?Sized>(
     Some(sink.deferred)
 }
 
-/// The shared driver: walks every batch of the queue (deferring evicted
-/// ranges as new batches when a budget is set) and merges the disjoint
-/// per-range counts.
+/// The multi-worker driver of [`count_completions_budgeted`]: starts from
+/// the full range, walks every batch of the queue (deferring evicted
+/// ranges as new batches) and merges the disjoint per-range counts.
 fn run_shards<Q: BooleanQuery + Sync + ?Sized>(
     db: &IncompleteDatabase,
     q: &Q,
-    initial: Vec<Vec<HashRange>>,
-    budget: Option<usize>,
+    budget: usize,
     threads: usize,
 ) -> Result<ShardedCount, DataError> {
     // The one-time setup for the whole call: building the template session
@@ -488,6 +443,7 @@ fn run_shards<Q: BooleanQuery + Sync + ?Sized>(
     // rewound, not rebuilt, for every batch after it, never paid by a
     // worker that pops nothing — and its own tally.
     let workers = (0..threads.max(1)).map(|_| (None, ShardedCount::default()));
+    let initial = vec![vec![HashRange::full()]];
     let done = TaskQueue::run(initial, workers.collect(), |worker, batch, queue| {
         let (session, tally) = worker;
         if session.is_some() {
@@ -561,54 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_partitions_agree_with_the_engine() {
-        let db = example_2_2();
-        let q: Bcq = "S(x,x)".parse().unwrap();
-        let expected = BacktrackingEngine::sequential()
-            .count_completions(&db, &q)
-            .unwrap();
-        for shards in [1usize, 2, 3, 8] {
-            for threads in [1usize, 3] {
-                let sharded = count_completions_sharded(&db, &q, shards, threads).unwrap();
-                assert_eq!(
-                    sharded.count, expected,
-                    "{shards} shards, {threads} threads"
-                );
-                // One walk per batch, not per range.
-                assert_eq!(sharded.passes, threads.min(shards));
-                assert_eq!(sharded.counted_shards, shards);
-                assert_eq!(sharded.ranges_walked, shards);
-                assert_eq!(sharded.evictions, 0, "no budget, no evictions");
-                // Session reuse: at most one setup per worker that saw a
-                // task, and every other walk rode a rewound session.
-                assert!(sharded.sessions_built <= threads.min(shards));
-                assert_eq!(
-                    sharded.walks_reused,
-                    sharded.passes - sharded.sessions_built
-                );
-                if threads == 1 {
-                    assert_eq!((sharded.sessions_built, sharded.passes), (1, 1));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn single_walk_carries_the_whole_partition() {
-        // 16 ranges, 1 thread: the partition must be served by ONE walk.
-        let db = example_2_2();
-        let q = Tautology;
-        let expected = BacktrackingEngine::sequential()
-            .count_all_completions(&db)
-            .unwrap();
-        let sharded = count_completions_sharded(&db, &q, 16, 1).unwrap();
-        assert_eq!(sharded.count, expected);
-        assert_eq!(sharded.passes, 1, "one walk for all 16 ranges");
-        assert_eq!(sharded.ranges_walked, 16);
-        assert_eq!(sharded.counted_shards, 16);
-    }
-
-    #[test]
     fn class_counting_agrees_on_separable_instances() {
         // 10 dirty R-parts × 9 separable S-completions = 90 distinct.
         let db = mixed_instance();
@@ -616,13 +524,12 @@ mod tests {
         let expected = BacktrackingEngine::sequential()
             .count_all_completions(&db)
             .unwrap();
-        for shards in [1usize, 4, 16] {
-            let sharded = count_completions_sharded(&db, &q, shards, 2).unwrap();
-            assert_eq!(sharded.count, expected, "{shards} shards");
+        for budget in [1usize, 4, 16] {
+            let sharded = count_completions_budgeted(&db, &q, budget, 2).unwrap();
+            assert_eq!(sharded.count, expected, "budget {budget}");
         }
-        // The budgeted path too — and with 10 dirty classes a budget of 4
-        // must evict, yet the resident set stays classes-not-completions
-        // small.
+        // With 10 dirty classes a budget of 4 must evict, yet the resident
+        // set stays classes-not-completions small.
         let result = count_completions_budgeted(&db, &q, 4, 1).unwrap();
         assert_eq!(result.count, expected);
         assert!(result.peak_resident_fingerprints <= 4);
@@ -648,6 +555,10 @@ mod tests {
         assert!(result.counted_shards > 1, "a 5-fingerprint set must shard");
         assert!(result.evictions > 0, "the bound is paid for by evictions");
         assert!(result.passes > 1, "deferred ranges cost follow-up walks");
+        assert!(
+            result.ranges_walked > result.passes,
+            "a follow-up walk carries a multi-range batch"
+        );
         // One worker, one setup: every walk after the first reused the
         // session.
         assert_eq!(result.sessions_built, 1);
@@ -713,17 +624,16 @@ mod tests {
         let mut db = IncompleteDatabase::new_non_uniform();
         db.add_fact("R", vec![Value::null(0)]).unwrap();
         let q: Bcq = "R(x)".parse().unwrap();
-        assert!(count_completions_sharded(&db, &q, 4, 2).is_err());
         assert!(count_completions_budgeted(&db, &q, 8, 2).is_err());
     }
 
     #[test]
     fn empty_and_ground_instances() {
-        // No nulls: one completion, whatever the sharding.
+        // No nulls: one completion, whatever the budget.
         let mut db = IncompleteDatabase::new_non_uniform();
         db.add_fact("R", vec![Value::constant(5)]).unwrap();
         let q: Bcq = "R(x)".parse().unwrap();
-        let sharded = count_completions_sharded(&db, &q, 4, 2).unwrap();
+        let sharded = count_completions_budgeted(&db, &q, 1, 2).unwrap();
         assert_eq!(sharded.count, BigNat::one());
         // An empty domain admits no completion at all.
         let mut empty = IncompleteDatabase::new_uniform(Vec::<u64>::new());

@@ -41,7 +41,7 @@
 use std::collections::VecDeque;
 
 use incdb_core::engine::Tautology;
-use incdb_core::session::{Mark, PageSink, PageSummary, SearchSession};
+use incdb_core::session::{PageSink, PageSummary, SearchSession};
 use incdb_data::{
     materialize_completion, CompletionKey, DataError, Database, IncompleteDatabase, PageHeap,
 };
@@ -89,15 +89,13 @@ pub struct CompletionStream<'a, Q: BooleanQuery + ?Sized> {
     /// What previous selection walks learned about the top of the search
     /// tree: per-subtree key spans that let later walks skip provably
     /// served (or provably beyond-page) subtrees, and the stream prove
-    /// exhaustion without a walk. Planned with the session.
+    /// exhaustion without a walk. Planned with the session, recorded into
+    /// in place by every fill.
     summary: PageSummary,
     /// The page assembly heap, persistent across refills: keys displaced or
     /// cleared go to its spare list and are recycled, so steady-state fills
     /// only allocate for the keys actually shipped to the buffer.
     page: PageHeap,
-    /// The fill's observation worksheet, refreshed in place
-    /// ([`PageSummary::refresh_worksheet`]) instead of reallocated per page.
-    sheet: Vec<Mark>,
     passes: usize,
     fill_walks: usize,
     peak_resident: usize,
@@ -153,7 +151,6 @@ impl<'a, Q: BooleanQuery + ?Sized> CompletionStream<'a, Q> {
             session,
             summary,
             page: PageHeap::new(),
-            sheet: Vec::new(),
             passes: 0,
             fill_walks: 0,
             peak_resident: 0,
@@ -186,11 +183,11 @@ impl<'a, Q: BooleanQuery + ?Sized> CompletionStream<'a, Q> {
         self.page_size
     }
 
-    /// The high-water mark of completion keys this stream has held at once:
-    /// the filled page plus the cursor summary's recorded spans (the
-    /// pruning index costs `O(page_size)` keys, see [`PageSummary`]). The
-    /// memory side of the stream's trade-off, `O(page_size)` regardless of
-    /// how many completions exist.
+    /// The high-water mark of completion keys this stream has held at once,
+    /// sampled after each fill: the filled page plus every span the cursor
+    /// summary holds (the pruning index costs `O(page_size)` keys, see
+    /// [`PageSummary`]). The memory side of the stream's trade-off,
+    /// `O(page_size)` regardless of how many completions exist.
     pub fn peak_resident(&self) -> usize {
         self.peak_resident
     }
@@ -209,12 +206,10 @@ impl<'a, Q: BooleanQuery + ?Sized> CompletionStream<'a, Q> {
             self.exhausted = true;
             return;
         }
-        self.summary.refresh_worksheet(&mut self.sheet);
         self.session.walk(
-            &mut PageSink::new(after, self.page_size, &mut self.page)
-                .recording(&self.summary, &mut self.sheet),
+            &mut PageSink::new(after, self.page_size, &mut self.page).recording(&mut self.summary),
         );
-        self.summary.absorb(&self.sheet);
+        self.summary.absorb();
         self.fill_walks += 1;
         self.passes += 1;
         let resident = self.page.len() + self.summary.resident_keys();

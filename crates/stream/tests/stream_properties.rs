@@ -1,9 +1,9 @@
 //! Property suite for the streaming completion subsystem, pinning the
 //! three contracts the ISSUE demands plus the acceptance criterion:
 //!
-//! * **Shard-merge exactness** — for random instances, queries and shard
-//!   counts `K` (and random worker counts), the merged sharded count
-//!   equals the unsharded engine's count.
+//! * **Shard-merge exactness** — for random instances, queries and
+//!   budgets (and random worker counts), the merged budgeted count equals
+//!   the unsharded engine's count.
 //! * **Pause/resume fidelity** — cutting a [`CompletionStream`] at any
 //!   point and resuming from its (wire-round-tripped) cursor reproduces
 //!   exactly the canonical sequence, whatever the page sizes.
@@ -18,9 +18,7 @@ use incdb_bignum::BigNat;
 use incdb_core::engine::{BacktrackingEngine, CountingEngine, NaiveEngine, Tautology};
 use incdb_data::{IncompleteDatabase, NullId, Value};
 use incdb_query::{Bcq, BooleanQuery};
-use incdb_stream::{
-    count_completions_budgeted, count_completions_sharded, CompletionStream, Cursor,
-};
+use incdb_stream::{count_completions_budgeted, CompletionStream, Cursor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,10 +67,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn sharded_counts_merge_to_the_unsharded_count(
+    fn budgeted_counts_merge_to_the_unsharded_count(
         facts in proptest::collection::vec((0usize..2, (0usize..7, 0usize..7)), 1..=5),
         domains in proptest::collection::vec(1usize..8, NULL_POOL as usize..=NULL_POOL as usize),
-        shards in 1usize..12,
+        budget in 1usize..12,
         threads in 1usize..4,
     ) {
         let db = build_db(&facts, &domains);
@@ -80,21 +78,18 @@ proptest! {
             let expected = BacktrackingEngine::sequential()
                 .count_completions(&db, &q)
                 .unwrap();
-            let sharded = count_completions_sharded(&db, &q, shards, threads).unwrap();
+            let sharded = count_completions_budgeted(&db, &q, budget, threads).unwrap();
             prop_assert_eq!(
                 &sharded.count, &expected,
-                "query {} with {} shards / {} threads", q, shards, threads
+                "query {} with budget {} / {} threads", q, budget, threads
             );
-            // One walk serves a whole contiguous batch of ranges.
-            prop_assert_eq!(sharded.passes, threads.min(shards));
-            prop_assert_eq!(sharded.ranges_walked, shards);
-            prop_assert_eq!(sharded.evictions, 0);
+            prop_assert!(sharded.peak_resident_fingerprints <= budget);
         }
         // The no-filter count shards identically.
         let expected = BacktrackingEngine::sequential()
             .count_all_completions(&db)
             .unwrap();
-        let sharded = count_completions_sharded(&db, &Tautology, shards, threads).unwrap();
+        let sharded = count_completions_budgeted(&db, &Tautology, budget, threads).unwrap();
         prop_assert_eq!(&sharded.count, &expected);
     }
 
@@ -218,9 +213,9 @@ fn colliding_instance(rng: &mut StdRng) -> IncompleteDatabase {
     db
 }
 
-/// Budgeted, sharded and engine distinct counts — all keyed by residual
-/// keys — agree with the materialising `NaiveEngine` on instances whose
-/// ground facts some valuations resolve onto.
+/// Budgeted, sequential and work-stealing distinct counts — all keyed by
+/// residual keys — agree with the materialising `NaiveEngine` on instances
+/// whose ground facts some valuations resolve onto.
 #[test]
 fn residual_key_counters_match_the_naive_engine_on_colliding_instances() {
     let mut rng = StdRng::seed_from_u64(0x5e51_d0a1);
@@ -270,13 +265,6 @@ fn check_residual_counters<Q: BooleanQuery + Sync>(
                 "budget {budget} threads {threads} {at}"
             );
             assert!(result.peak_resident_fingerprints <= budget, "{at}");
-        }
-        for shards in [1usize, 3, 7] {
-            let result = count_completions_sharded(db, q, shards, threads).unwrap();
-            assert_eq!(
-                &result.count, expected,
-                "{shards} shards threads {threads} {at}"
-            );
         }
     }
 }
